@@ -162,6 +162,14 @@ def lambda_table(r_min: float, r_max: float, count: int) -> list[tuple[float, fl
     return [(float(R), lambda_lower(float(R))) for R in rs]
 
 
-def default_w_grid(points: int = 999) -> list[float]:
-    """w = j/(points+1) scaled into (0.001, 0.999) on a uniform grid."""
+MAX_W_POINTS = 999
+
+
+def default_w_grid(points: int = MAX_W_POINTS) -> list[float]:
+    """The radii w = 0.001*j for j = 1..points, all inside (0, 1).
+
+    ``points`` may not exceed MAX_W_POINTS, where w would reach 1.
+    """
+    if not 1 <= points <= MAX_W_POINTS:
+        raise DomainError(f"points must lie in 1..{MAX_W_POINTS}")
     return [0.001 * j for j in range(1, points + 1)]

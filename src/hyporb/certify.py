@@ -46,16 +46,6 @@ class DensityBound:
     witness: ConeDisc | CleanDisc
 
 
-def _isolation_radius(orb: MarkedOrbifold, index: int) -> float:
-    """Distance from mark ``index`` to the nearest other mark or the boundary."""
-    p, _ = orb.marks[index]
-    dist = orb.boundary_distance(p)
-    for j, (q, _) in enumerate(orb.marks):
-        if j != index:
-            dist = min(dist, abs(p - q))
-    return dist
-
-
 def upper_density_bound(orb: MarkedOrbifold, z: complex) -> DensityBound:
     """Closed-form upper bound on the orbifold density at ``z``.
 
@@ -77,7 +67,7 @@ def upper_density_bound(orb: MarkedOrbifold, z: complex) -> DensityBound:
     d = dists[i]
     if d <= 1e-12:
         raise DomainError(f"{z!r} is numerically at a mark")
-    eps = _isolation_radius(orb, i)
+    eps = float(orb.isolation_radii[i])
     if not math.isfinite(eps):
         # a plane with a single mark is not hyperbolic; no witness exists
         raise DomainError("no finite witness disc around the only mark")
@@ -145,6 +135,12 @@ def certified_curve_length(
     into integrable singularities.  Each piece contributes its Euclidean
     length times the exact supremum of the best witness density over the
     piece, so the total always dominates the witness-model integral.
+
+    Round 0 bounds every piece of the polyline, and so rejects (DomainError)
+    a curve that comes within ``mark_margin`` of a mark or of the surface
+    boundary.  Later rounds bound only the pieces no longer than
+    ``refinement``: longer pieces split whatever their bounds say, so bounding
+    them would be wasted work.
     """
     if refinement <= 0:
         raise DomainError("refinement must be positive")
@@ -155,55 +151,60 @@ def certified_curve_length(
     a = a_all[keep]
     b = b_all[keep]
     if a.size == 0:
-        curve.certified_metric_length = 0.0
         return 0.0
 
-    marks = orb.mark_points()
-    nus = np.asarray([nu for _, nu in orb.marks], dtype=float)
-    iso = np.asarray([_isolation_radius(orb, i) for i in range(len(orb.marks))])
-    # an infinite isolation radius admits no valid cone witness
-    iso = np.where(np.isfinite(iso), iso, 0.0)
+    marks = orb.mark_array
+    iso = orb.isolation_radii
+    # One group of marks per ramification order.  A mark with an infinite
+    # isolation radius admits no valid cone witness and joins no group.
+    cone_groups = []
+    for k in sorted(set(orb.mark_orders.tolist())):
+        cols = np.flatnonzero((orb.mark_orders == k) & np.isfinite(iso))
+        if cols.size:
+            eps = iso[cols]
+            # scalar powers: numpy's vectorised array power may differ from
+            # them in the last bit, and per-mark evaluation takes scalar ones
+            eps_root = np.asarray([e ** (1.0 / k) for e in eps])
+            cone_groups.append((k, cols, eps, eps_root))
 
     def piece_bounds(a_: np.ndarray, b_: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(sup bound, far-end pointwise bound) per piece."""
         bdy = _boundary_min_dist(orb, a_, b_)
-        if np.any(bdy < mark_margin) or np.any(bdy <= 0):
+        if (bdy < mark_margin).any() or (bdy <= 0).any():
             raise DomainError("curve touches the surface boundary")
-        if marks.size:
-            dmin = _seg_point_dists(a_, b_, marks)
-            dmax = np.maximum(np.abs(a_[:, None] - marks[None, :]), np.abs(b_[:, None] - marks[None, :]))
-            if np.any(dmin.min(axis=1) < mark_margin) or np.any(dmin.min(axis=1) <= 0):
-                raise DomainError("curve touches a mark")
-            clean = 2.0 / np.minimum(dmin.min(axis=1), bdy)
-            sup = clean.copy()
-            far = clean.copy()
-            for j in range(marks.size):
-                inside = dmax[:, j] < iso[j]
-                if not np.any(inside):
-                    continue
-                k = nus[j]
-                eps = iso[j]
-                lo = dmin[inside, j]
-                hi = dmax[inside, j]
-                cone_sup = np.maximum(
-                    _cone_density_arr(k, eps, lo), _cone_density_arr(k, eps, hi)
-                )
-                cone_far = _cone_density_arr(k, eps, hi)
-                sup_in = sup[inside]
-                far_in = far[inside]
-                sup[inside] = np.minimum(sup_in, cone_sup)
-                far[inside] = np.minimum(far_in, cone_far)
-            return sup, far
-        return 2.0 / bdy, 2.0 / bdy
+        if not marks.size:
+            return 2.0 / bdy, 2.0 / bdy
+        dmin = _seg_point_dists(a_, b_, marks)
+        dmax = np.maximum(np.abs(a_[:, None] - marks[None, :]), np.abs(b_[:, None] - marks[None, :]))
+        nearest = dmin.min(axis=1)
+        if (nearest < mark_margin).any() or (nearest <= 0).any():
+            raise DomainError("curve touches a mark")
+        sup = 2.0 / np.minimum(nearest, bdy)
+        far = sup.copy()
+        for k, cols, eps, eps_root in cone_groups:
+            hi = dmax[:, cols]
+            inside = hi < eps
+            if not inside.any():
+                continue
+            # Outside the isolation disc the cone formula is negative or
+            # infinite, never a bound: mask those entries before the minimum.
+            cone_far = _cone_density_arr(k, eps, eps_root, hi)
+            cone_sup = np.maximum(_cone_density_arr(k, eps, eps_root, dmin[:, cols]), cone_far)
+            sup = np.minimum(sup, np.where(inside, cone_sup, np.inf).min(axis=1))
+            far = np.minimum(far, np.where(inside, cone_far, np.inf).min(axis=1))
+        return sup, far
 
     total = 0.0
-    for _ in range(max_rounds):
+    for i in range(max_rounds):
         lens = np.abs(b - a)
-        sup, far = piece_bounds(a, b)
-        split = (lens > refinement) | (sup > tighten * far)
-        done = ~split
-        total += float(np.sum(lens[done] * sup[done]))
-        if not np.any(split):
+        split = lens > refinement
+        bounded = np.ones_like(split) if i == 0 else ~split
+        if bounded.any():
+            sup, far = piece_bounds(a[bounded], b[bounded])
+            split[bounded] |= sup > tighten * far
+            done = ~split
+            total += float((lens[done] * sup[done[bounded]]).sum())
+        if not split.any():
             break
         a_s, b_s = a[split], b[split]
         mid = 0.5 * (a_s + b_s)
@@ -213,14 +214,16 @@ def certified_curve_length(
         lens = np.abs(b - a)
         sup, _ = piece_bounds(a, b)
         total += float(np.sum(lens * sup))
-    curve.certified_metric_length = total
     return total
 
 
-def _cone_density_arr(k: float, eps: float, d: np.ndarray) -> np.ndarray:
+def _cone_density_arr(
+    k: float, eps: np.ndarray, eps_root: np.ndarray, d: np.ndarray
+) -> np.ndarray:
+    """``models.cone_density`` over arrays, given ``eps_root = eps ** (1/k)``."""
     u = (d / eps) ** (1.0 / k)
     with np.errstate(divide="ignore"):
-        return 2.0 / (k * eps ** (1.0 / k) * d ** ((k - 1.0) / k) * (1.0 - u * u))
+        return 2.0 / (k * eps_root * d ** ((k - 1.0) / k) * (1.0 - u * u))
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +266,7 @@ def _candidate_paths(z: complex, b: complex) -> list[list[complex]]:
 
 
 def _min_mark_distance(orb: MarkedOrbifold, pts: list[complex]) -> float:
-    marks = orb.mark_points()
+    marks = orb.mark_array
     if marks.size == 0:
         return math.inf
     a = np.asarray(pts[:-1], dtype=complex)
@@ -308,12 +311,13 @@ def expansion_certificate(
         )
 
     pts = boundary.points
-    by_euclid = sorted(pts, key=lambda p: (abs(p - z), p.real, p.imag))
-    candidates = list(by_euclid[:max_candidates])
-    high = [p for p in pts if abs(p.imag) >= 0.5 * abs(z)]
-    for p in sorted(high, key=lambda p: (abs(p - z), p.real, p.imag))[:4]:
-        if p not in candidates:
-            candidates.append(p)
+    arr = np.asarray(pts, dtype=complex)
+    order = _nearest_first(arr, z)
+    candidates = [pts[i] for i in order[:max_candidates]]
+    high = order[np.abs(arr.imag[order]) >= 0.5 * abs(z)]
+    for i in high[:4]:
+        if pts[i] not in candidates:
+            candidates.append(pts[i])
 
     margin = margin_rel * _local_isolation(base, z)
     best: tuple[float, list[complex]] | None = None
@@ -344,12 +348,20 @@ def expansion_certificate(
     )
 
 
+def _nearest_first(arr: np.ndarray, z: complex) -> np.ndarray:
+    """Indices of ``arr`` in the stable order of the key (|p - z|, re p, im p)."""
+    # hypot, as abs() of a Python complex takes it; numpy's complex abs can
+    # differ from it in the last bit and so reorder near-ties
+    dist = np.hypot(arr.real - z.real, arr.imag - z.imag)
+    return np.lexsort((arr.imag, arr.real, dist))
+
+
 def _path_len(pts: list[complex]) -> float:
     return sum(abs(b - a) for a, b in zip(pts, pts[1:]))
 
 
 def _local_isolation(orb: MarkedOrbifold, z: complex) -> float:
-    marks = orb.mark_points()
+    marks = orb.mark_array
     if marks.size == 0:
         d = orb.boundary_distance(z)
         return d if math.isfinite(d) else 1.0

@@ -91,6 +91,10 @@ class RunConfig:
                      "samples_per_scale", "pullback_kmax", "homotopy_n_max"):
             if getattr(self, name) < 1:
                 raise UsageError(f"config key {name} must be >= 1")
+        if self.w_points > bnd.MAX_W_POINTS:
+            raise UsageError(
+                f"config key w_points must be <= {bnd.MAX_W_POINTS} (the grid w = 0.001*j stays below 1)"
+            )
         if self.format not in ("json", "csv", "both"):
             raise UsageError("config key format must be json, csv or both")
         try:
@@ -183,9 +187,7 @@ class _Reporter:
 
 def cmd_bounds(cfg: RunConfig) -> int:
     rep = _Reporter(cfg, "bounds")
-    w_grid = [0.001 * j for j in range(1, cfg.w_points + 1)]
-    w_grid = [w for w in w_grid if 0.0 < w < 1.0]
-    chain = bnd.verify_bound_chain(w_grid, range(2, cfg.k_max + 1))
+    chain = bnd.verify_bound_chain(bnd.default_w_grid(cfg.w_points), range(2, cfg.k_max + 1))
     table = bnd.lambda_table(cfg.r_min, cfg.r_max, cfg.r_points)
     rep.write_csv(["R", "Lambda"], [[f12(R), f12(v)] for R, v in table])
     rep.write_json(

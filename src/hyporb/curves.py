@@ -1,8 +1,8 @@
-"""Discretized curves with Euclidean and certified metric lengths."""
+"""Discretized curves: polylines and Euclidean point-to-curve distances."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -11,16 +11,9 @@ from .errors import DomainError
 
 @dataclass
 class PolylineCurve:
-    """A curve stored as an ordered list of vertices.
-
-    ``euclidean_length`` is the sum of segment lengths.  The optional
-    ``certified_metric_length`` is filled in by the length certifier and is
-    always an upper bound for the metric length of the polyline.
-    """
+    """A curve stored as an ordered list of vertices."""
 
     vertices: list[complex]
-    certified_metric_length: float | None = None
-    euclidean_length: float = field(init=False)
 
     def __post_init__(self):
         if len(self.vertices) < 2:
@@ -28,9 +21,8 @@ class PolylineCurve:
         arr = np.asarray(self.vertices, dtype=complex)
         if not np.all(np.isfinite(arr)):
             raise DomainError("non-finite vertex in polyline")
-        self.vertices = [complex(v) for v in arr]
+        self.vertices = arr.tolist()
         self._array = arr
-        self.euclidean_length = float(np.abs(np.diff(arr)).sum())
 
     @property
     def start(self) -> complex:

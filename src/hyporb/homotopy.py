@@ -18,7 +18,7 @@ import numpy as np
 
 from .curves import PolylineCurve
 from .errors import DomainError
-from .models import cone_circle_length, cone_radial_length
+from .models import cone_circle_length
 
 
 @dataclass(frozen=True)
@@ -151,13 +151,3 @@ def build_representative(
     if len(verts) < 2:
         verts.append(q)
     return PolylineCurve(verts)
-
-
-def representative_length_budget(n: int, eps: float) -> float:
-    """The construction's design budget: two spokes plus n + 1 circles."""
-    return 2.0 * eps / 18.0 + (n + 1.0) * eps / (18.0 * (n + 1.0))
-
-
-def radial_spoke_length(eps: float, d: int, r_outer: float) -> float:
-    """Exact metric length of a radial spoke from the cone point out to r_outer."""
-    return cone_radial_length(d, eps, 0.0, r_outer)

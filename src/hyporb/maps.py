@@ -57,10 +57,27 @@ def _in_annulus(z: complex, r_max: float, r_min: float) -> bool:
 
 
 def _dedup(points: list[complex], tol: float = 1e-9) -> list[complex]:
+    """Drop each point within ``tol`` of an earlier kept point; order is kept.
+
+    Kept points are hashed into square cells of side 2*tol, so a point within
+    tol of a kept one finds it among the 3x3 cells around its own.  With that
+    side, rounding in ``x / cell`` never moves two such points two cells apart,
+    at any magnitude (a cell of side tol would allow it).
+    """
+    cell = 2.0 * tol
+    grid: dict[tuple[int, int], list[complex]] = {}
     out: list[complex] = []
     for p in points:
-        if all(abs(p - q) > tol for q in out):
+        i, j = math.floor(p.real / cell), math.floor(p.imag / cell)
+        near = (
+            q
+            for di in (-1, 0, 1)
+            for dj in (-1, 0, 1)
+            for q in grid.get((i + di, j + dj), ())
+        )
+        if all(abs(p - q) > tol for q in near):
             out.append(p)
+            grid.setdefault((i, j), []).append(p)
     return out
 
 
@@ -455,12 +472,6 @@ def pullback_curve(
             continue
         continue_to(b, a, 0)
     return PolylineCurve(lifted)
-
-
-def compose_forward(map_spec: EntireMapSpec, z: complex, n: int) -> complex:
-    for _ in range(n):
-        z = evaluate(map_spec, z)
-    return z
 
 
 def orbit_degree_product(map_spec: EntireMapSpec, w: complex, m: int) -> int:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import gcd
 
 import numpy as np
@@ -23,6 +24,7 @@ from .errors import (
     DomainError,
     EmptyInput,
     NotFound,
+    Overflow,
 )
 from .maps import (
     EntireMapSpec,
@@ -39,6 +41,11 @@ _MATCH_TOL = 1e-9
 
 def _lcm(a: int, b: int) -> int:
     return a * b // gcd(a, b)
+
+
+def _readonly(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
 
 
 # ---------------------------------------------------------------------------
@@ -77,6 +84,9 @@ class MarkedOrbifold:
     separated by at least 1e-9 and never lie inside a removed disc.
     ``truncation_complete`` records that every source orbit closed up within
     the truncation (no escaping orbit), so no marks are missing.
+
+    The mark geometry (``mark_array``, ``mark_orders``, ``isolation_radii``)
+    is computed on first use and cached as read-only arrays.
     """
 
     surface: Surface
@@ -117,8 +127,25 @@ class MarkedOrbifold:
                 return nu
         return 1
 
-    def mark_points(self) -> np.ndarray:
-        return np.asarray([p for p, _ in self.marks], dtype=complex)
+    @cached_property
+    def mark_array(self) -> np.ndarray:
+        """Mark points, in the order of ``marks``."""
+        return _readonly(np.asarray([p for p, _ in self.marks], dtype=complex))
+
+    @cached_property
+    def mark_orders(self) -> np.ndarray:
+        """Ramification values of the marks, as floats."""
+        return _readonly(np.asarray([nu for _, nu in self.marks], dtype=float))
+
+    @cached_property
+    def isolation_radii(self) -> np.ndarray:
+        """Per mark, the distance to the nearest other mark or the boundary (may be inf)."""
+        pts = [p for p, _ in self.marks]
+        radii = [
+            min([self.boundary_distance(p)] + [abs(p - q) for j, q in enumerate(pts) if j != i])
+            for i, p in enumerate(pts)
+        ]
+        return _readonly(np.asarray(radii, dtype=float))
 
     def to_json(self) -> dict:
         if isinstance(self.surface, Plane):
@@ -287,7 +314,7 @@ def _newton_periodic(
             try:
                 dw *= map_spec.deriv(w)
                 w = evaluate(map_spec, w)
-            except Exception:
+            except (Overflow, OverflowError):
                 ok = False
                 break
         if not ok:
@@ -304,7 +331,7 @@ def _newton_periodic(
         w = z
         for _ in range(period):
             w = evaluate(map_spec, w)
-    except Exception:
+    except (Overflow, OverflowError):
         return None
     return z if abs(w - z) < 1e-9 else None
 
@@ -351,7 +378,7 @@ def find_repelling_cycle(
         for _ in range(period - 1):
             try:
                 cyc.append(evaluate(map_spec, cyc[-1]))
-            except Exception:
+            except (Overflow, OverflowError):
                 ok = False
                 break
         if not ok:
@@ -636,7 +663,7 @@ def _certify_preimage_disc(
                 )
                 for j in range(samples)
             )
-        except Exception:
+        except (Overflow, OverflowError):
             continue
         if sup < disc.radius * (1.0 - 1e-6):
             best = r
@@ -672,7 +699,7 @@ def check_covering_relation(
     for z, nu_tilde in lift.marks:
         try:
             fz = evaluate(map_spec, z)
-        except Exception:
+        except (Overflow, OverflowError):
             continue
         deg = local_degree(map_spec, z)
         nu_image = base.ramification(fz)
@@ -696,7 +723,7 @@ def check_covering_relation(
         for z in samples:
             try:
                 fz = evaluate(map_spec, z)
-            except Exception:
+            except (Overflow, OverflowError):
                 continue
             if base.ramification(fz) != local_degree(map_spec, z) * lift.ramification(z):
                 witnesses.append(f"unmarked sample z={z!r} violates the covering identity")

@@ -82,6 +82,14 @@ def test_sharpness_identity_on_grid():
         assert abs(lhs - rhs) <= 1e-12
 
 
+def test_default_w_grid_values_and_range():
+    assert default_w_grid(3) == [0.001, 0.002, 0.003]
+    assert default_w_grid()[-1] == 0.999
+    for bad in (0, 1000):
+        with pytest.raises(DomainError):
+            default_w_grid(bad)
+
+
 def test_bound_chain_default_grid():
     result = verify_bound_chain(default_w_grid(200), range(2, 17))
     assert result.passed

@@ -25,6 +25,13 @@ def test_bad_command_is_usage_error():
     assert run(["frobnicate"]) == 64
 
 
+def test_w_points_beyond_grid_is_usage_error(tmp_path, capsys):
+    # w = 0.001*j reaches 1 at j = 1000: rejected, not silently truncated
+    assert run(["bounds", "--output", str(tmp_path), "--set", "w_points=1000"]) == 64
+    assert "w_points" in capsys.readouterr().err
+    assert not (tmp_path / "bounds.json").exists()
+
+
 def test_malformed_config_file(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("depth 12\n")

@@ -1,5 +1,6 @@
 """Associated orbifold pairs, covering/inclusion checks, separation, boundary sets."""
 
+import dataclasses
 import math
 
 import pytest
@@ -85,6 +86,19 @@ def test_checks_pass_for_all_catalogue_pairs(
         assert check_covering_relation(spec, base, lift).passed
         assert check_holomorphic_inclusion(lift, base).passed
         assert all(nu == 2 for _, nu in base.marks)
+
+
+def test_covering_check_skips_only_overflowing_evaluations(cosh_map, cosh_pair):
+    base, lift = cosh_pair
+    # cosh(800) overflows: that sample cannot be checked and is skipped
+    assert check_covering_relation(cosh_map, base, lift, samples=[800.0 + 0j]).passed
+
+    def broken(z):
+        raise ZeroDivisionError("not an overflow")
+
+    # any other failure of the map is a fault, not a skipped sample
+    with pytest.raises(ZeroDivisionError):
+        check_covering_relation(dataclasses.replace(cosh_map, eval=broken), base, lift)
 
 
 def test_swapped_inclusion_fails(cosh_pair):
