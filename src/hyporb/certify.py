@@ -17,10 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import lambda_lower
-from .curves import PolylineCurve, polyline_point_distance
+from .curves import PolylineCurve, polyline_point_distance, segment_point_distances
 from .errors import BranchBreak, DomainError, PathBlocked
 from .maps import EntireMapSpec, evaluate, pullback_curve
-from .models import ConeDisc, cone_density, hyp_distance_disc
+from .models import ConeDisc, cone_density, cone_density_formula, hyp_distance_disc
 from .orbifolds import (
     BoundarySet,
     DiscSurface,
@@ -30,6 +30,17 @@ from .orbifolds import (
     Window,
     boundary_set,
 )
+
+# A piece keeps splitting while its density supremum exceeds this factor times
+# the density at its far end; it bounds the overestimate near singularities.
+_TIGHTEN = 1.02
+# Nearest boundary points tried per expansion certificate (before the
+# high-imaginary extras).
+_MAX_CANDIDATES = 12
+# Sample circles of the annulus scan, as multiples of each scale.
+_RADIUS_FACTORS = (1.0, 1.3, 1.7)
+# Newton residual tolerance of each inverse-branch pullback step.
+_PULLBACK_NEWTON_TOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -88,18 +99,6 @@ def upper_density_bound(orb: MarkedOrbifold, z: complex) -> DensityBound:
 # ---------------------------------------------------------------------------
 
 
-def _seg_point_dists(a: np.ndarray, b: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """(pieces, marks) matrix of segment-to-point distances."""
-    d = (b - a)[:, None]
-    ap = pts[None, :] - a[:, None]
-    dd = (d.real**2 + d.imag**2)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        t = np.where(dd > 0, (ap.real * d.real + ap.imag * d.imag) / np.where(dd > 0, dd, 1), 0.0)
-    t = np.clip(t, 0.0, 1.0)
-    closest = a[:, None] + t * d
-    return np.abs(pts[None, :] - closest)
-
-
 def _boundary_min_dist(orb: MarkedOrbifold, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Per-piece minimum distance to the surface boundary."""
     n = a.shape[0]
@@ -110,7 +109,7 @@ def _boundary_min_dist(orb: MarkedOrbifold, a: np.ndarray, b: np.ndarray) -> np.
         radii = np.asarray([r for _, r in orb.surface.discs])
         if centers.size == 0:
             return np.full(n, np.inf)
-        d = _seg_point_dists(a, b, centers) - radii[None, :]
+        d = segment_point_distances(a, b, centers) - radii[None, :]
         return d.min(axis=1)
     # Disc surface: the boundary circle is farthest from the segment at an endpoint.
     c = orb.surface.center
@@ -124,13 +123,12 @@ def certified_curve_length(
     refinement: float = 1e-3,
     mark_margin: float = 1e-9,
     max_rounds: int = 60,
-    tighten: float = 1.02,
 ) -> float:
     """Upper bound for the orbifold length of a polyline.
 
     Segments are bisected (nested, so halving ``refinement`` never increases
     the result) until each piece is shorter than ``refinement``; pieces whose
-    certified density supremum still exceeds ``tighten`` times the density at
+    certified density supremum still exceeds ``_TIGHTEN`` times the density at
     their far end keep splitting, which grades the subdivision geometrically
     into integrable singularities.  Each piece contributes its Euclidean
     length times the exact supremum of the best witness density over the
@@ -174,7 +172,7 @@ def certified_curve_length(
             raise DomainError("curve touches the surface boundary")
         if not marks.size:
             return 2.0 / bdy, 2.0 / bdy
-        dmin = _seg_point_dists(a_, b_, marks)
+        dmin = segment_point_distances(a_, b_, marks)
         dmax = np.maximum(np.abs(a_[:, None] - marks[None, :]), np.abs(b_[:, None] - marks[None, :]))
         nearest = dmin.min(axis=1)
         if (nearest < mark_margin).any() or (nearest <= 0).any():
@@ -188,8 +186,10 @@ def certified_curve_length(
                 continue
             # Outside the isolation disc the cone formula is negative or
             # infinite, never a bound: mask those entries before the minimum.
-            cone_far = _cone_density_arr(k, eps, eps_root, hi)
-            cone_sup = np.maximum(_cone_density_arr(k, eps, eps_root, dmin[:, cols]), cone_far)
+            with np.errstate(divide="ignore"):
+                cone_far = cone_density_formula(k, eps, eps_root, hi)
+                cone_near = cone_density_formula(k, eps, eps_root, dmin[:, cols])
+            cone_sup = np.maximum(cone_near, cone_far)
             sup = np.minimum(sup, np.where(inside, cone_sup, np.inf).min(axis=1))
             far = np.minimum(far, np.where(inside, cone_far, np.inf).min(axis=1))
         return sup, far
@@ -201,7 +201,7 @@ def certified_curve_length(
         bounded = np.ones_like(split) if i == 0 else ~split
         if bounded.any():
             sup, far = piece_bounds(a[bounded], b[bounded])
-            split[bounded] |= sup > tighten * far
+            split[bounded] |= sup > _TIGHTEN * far
             done = ~split
             total += float((lens[done] * sup[done[bounded]]).sum())
         if not split.any():
@@ -215,15 +215,6 @@ def certified_curve_length(
         sup, _ = piece_bounds(a, b)
         total += float(np.sum(lens * sup))
     return total
-
-
-def _cone_density_arr(
-    k: float, eps: np.ndarray, eps_root: np.ndarray, d: np.ndarray
-) -> np.ndarray:
-    """``models.cone_density`` over arrays, given ``eps_root = eps ** (1/k)``."""
-    u = (d / eps) ** (1.0 / k)
-    with np.errstate(divide="ignore"):
-        return 2.0 / (k * eps_root * d ** ((k - 1.0) / k) * (1.0 - u * u))
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +262,7 @@ def _min_mark_distance(orb: MarkedOrbifold, pts: list[complex]) -> float:
         return math.inf
     a = np.asarray(pts[:-1], dtype=complex)
     b = np.asarray(pts[1:], dtype=complex)
-    return float(_seg_point_dists(a, b, marks).min())
+    return float(segment_point_distances(a, b, marks).min())
 
 
 def expansion_certificate(
@@ -280,7 +271,6 @@ def expansion_certificate(
     boundary: BoundarySet,
     refinement: float = 1e-3,
     margin_rel: float = 1e-3,
-    max_candidates: int = 12,
 ) -> ExpansionCertificate:
     """Certify an expansion floor at ``z`` from a boundary-point supply.
 
@@ -313,7 +303,7 @@ def expansion_certificate(
     pts = boundary.points
     arr = np.asarray(pts, dtype=complex)
     order = _nearest_first(arr, z)
-    candidates = [pts[i] for i in order[:max_candidates]]
+    candidates = [pts[i] for i in order[:_MAX_CANDIDATES]]
     high = order[np.abs(arr.imag[order]) >= 0.5 * abs(z)]
     for i in high[:4]:
         if pts[i] not in candidates:
@@ -393,28 +383,27 @@ def annulus_uniformity_scan(
     pair: tuple[MarkedOrbifold, MarkedOrbifold],
     scales: list[float],
     samples_per_scale: int = 12,
-    radius_factors: tuple[float, ...] = (1.0, 1.3, 1.7),
     refinement: float = 1e-3,
 ) -> list[ScanRow]:
     """Per-scale maxima of certified distances to the boundary set.
 
-    For each scale t the boundary supply is the slice [t/8, 4 t max(factors)]
+    For each scale t the boundary supply is the slice [t/8, 4 t max(_RADIUS_FACTORS)]
     of one shared enumeration, and certificates are computed at deterministic
-    sample points on the circles |z| = t * radius_factors.  The tested claim
+    sample points on the circles |z| = t * _RADIUS_FACTORS.  The tested claim
     is the absence of growth of max R_bar across scales.
     """
     base, lift = pair
     rows: list[ScanRow] = []
-    n_angles = max(1, samples_per_scale // len(radius_factors))
+    n_angles = max(1, samples_per_scale // len(_RADIUS_FACTORS))
     angles = sample_angles(n_angles)
     # One shared boundary enumeration covering every scale window.
     span = Window(
-        r_max=4.0 * max(scales) * max(radius_factors),
+        r_max=4.0 * max(scales) * max(_RADIUS_FACTORS),
         r_min=min(scales) / 8.0,
     )
     shared = boundary_set(map_spec, lift, base, span)
     for t in scales:
-        r_lo, r_hi = t / 8.0, 4.0 * t * max(radius_factors)
+        r_lo, r_hi = t / 8.0, 4.0 * t * max(_RADIUS_FACTORS)
         idx = [i for i, p in enumerate(shared.points) if r_lo <= abs(p) <= r_hi]
         bset = BoundarySet(
             points=[shared.points[i] for i in idx],
@@ -430,7 +419,7 @@ def annulus_uniformity_scan(
         worst_R = 0.0
         best_lambda = math.inf
         n = 0
-        for f in radius_factors:
+        for f in _RADIUS_FACTORS:
             for theta in angles:
                 z = t * f * complex(math.cos(theta), math.sin(theta))
                 if base.ramification(z) > 1 or lift.ramification(z) > 1:
@@ -504,7 +493,6 @@ def pullback_shrinking_experiment(
     branch_seed: complex,
     k_max: int = 9,
     refinement: float = 1e-4,
-    newton_tol: float = 1e-13,
 ) -> PullbackResult:
     """Iterated inverse-branch pullback with certified orbifold lengths.
 
@@ -518,7 +506,7 @@ def pullback_shrinking_experiment(
     curves = [curve0]
     seed = complex(branch_seed)
     for k in range(1, k_max + 1):
-        lifted = pullback_curve(map_spec, curves[-1], seed, tol=newton_tol)
+        lifted = pullback_curve(map_spec, curves[-1], seed, tol=_PULLBACK_NEWTON_TOL)
         rows.append(
             PullbackRow(k=k, length_bound=certified_curve_length(base, lifted, refinement))
         )

@@ -24,8 +24,10 @@ import numpy as np
 from . import bounds as bnd
 from .certify import (
     annulus_uniformity_scan,
+    certified_curve_length,
     expansion_certificate,
     pullback_shrinking_experiment,
+    sample_angles,
     spearman_rank_correlation,
 )
 from .curves import PolylineCurve
@@ -281,13 +283,11 @@ def cmd_separation(cfg: RunConfig) -> int:
 
 def sample_points(cfg: RunConfig) -> list[complex]:
     """Deterministic log-spiral samples in the configured annulus."""
-    phi = (math.sqrt(5.0) - 1.0) / 2.0
     pts = []
     n = cfg.sample_count
     ratio = cfg.sample_r_max / cfg.sample_r_min
-    for j in range(n):
+    for j, theta in enumerate(sample_angles(n)):
         r = cfg.sample_r_min * ratio ** (j / max(n - 1, 1))
-        theta = 2.0 * math.pi * ((0.17 + j * phi) % 1.0)
         pts.append(r * complex(math.cos(theta), math.sin(theta)))
     return pts
 
@@ -397,8 +397,6 @@ def cmd_homotopy(cfg: RunConfig) -> int:
     limit = eps / 6.0
     rows = []
     violations = 0
-    from .certify import certified_curve_length
-
     for d in cfg.homotopy_orders():
         ep = epsilon_prime(eps, d)
         orb = MarkedOrbifold(DiscSurface(0j, eps), ((0j, d),))
@@ -437,26 +435,15 @@ def cmd_basin(cfg: RunConfig) -> int:
     spec = get_map(cfg.map)
     trunc = postsingular_truncation(spec, cfg.depth, cfg.escape_radius)
     discs = []
-    seen: list[complex] = []
-    for value, record in trunc.records.items():
-        cyc = record.cycle_points()
-        if not cyc:
-            continue
-        mult = abs(np.prod([spec.deriv(p) for p in cyc]))
-        if mult >= 1.0 - 1e-9:
-            continue
-        for q in cyc:
-            if any(abs(q - s) < 1e-9 for s in seen):
-                continue
-            seen.append(q)
-            disc = find_absorbing_disc(spec, q)
-            discs.append(
-                {
-                    "center": [f12(disc.center.real), f12(disc.center.imag)],
-                    "radius": f12(disc.radius),
-                    "boundary_sup": f12(disc.boundary_sup),
-                }
-            )
+    for q in trunc.attracting_cycle_points():
+        disc = find_absorbing_disc(spec, q)
+        discs.append(
+            {
+                "center": [f12(disc.center.real), f12(disc.center.imag)],
+                "radius": f12(disc.radius),
+                "boundary_sup": f12(disc.boundary_sup),
+            }
+        )
     rep.write_json({"command": "basin", "map": cfg.map, "absorbing_discs": discs})
     rep.write_csv(
         ["center_re", "center_im", "radius", "boundary_sup"],

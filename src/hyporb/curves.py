@@ -44,19 +44,20 @@ class PolylineCurve:
         return PolylineCurve([z, z])
 
 
-def segment_point_distance(a: complex, b: complex, p: complex) -> float:
-    """Euclidean distance from point ``p`` to the segment ``[a, b]``."""
-    d = b - a
-    dd = d.real * d.real + d.imag * d.imag
-    if dd == 0.0:
-        return abs(p - a)
-    t = ((p - a).real * d.real + (p - a).imag * d.imag) / dd
-    t = min(1.0, max(0.0, t))
-    return abs(p - (a + t * d))
+def segment_point_distances(a: np.ndarray, b: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """(segments, points) matrix of distances from each point to each segment ``[a, b]``."""
+    d = (b - a)[:, None]
+    ap = pts[None, :] - a[:, None]
+    dd = (d.real**2 + d.imag**2)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        t = np.where(dd > 0, (ap.real * d.real + ap.imag * d.imag) / np.where(dd > 0, dd, 1), 0.0)
+    t = np.clip(t, 0.0, 1.0)
+    closest = a[:, None] + t * d
+    return np.abs(pts[None, :] - closest)
 
 
 def polyline_point_distance(curve: PolylineCurve, p: complex) -> float:
-    return min(
-        segment_point_distance(a, b, p)
-        for a, b in zip(curve.vertices, curve.vertices[1:])
-    )
+    """Euclidean distance from point ``p`` to the polyline."""
+    verts = curve.as_array()
+    pts = np.asarray([p], dtype=complex)
+    return float(segment_point_distances(verts[:-1], verts[1:], pts).min())

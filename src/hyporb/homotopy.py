@@ -20,6 +20,9 @@ from .curves import PolylineCurve
 from .errors import DomainError
 from .models import cone_circle_length
 
+# Largest angle, in degrees, between consecutive arc vertices of a representative.
+_ARC_STEP_DEG = 1.0
+
 
 @dataclass(frozen=True)
 class WindingClass:
@@ -110,7 +113,6 @@ def build_representative(
     sign: int,
     eps: float = 1.0,
     d: int = 2,
-    arc_step_deg: float = 1.0,
 ) -> PolylineCurve:
     """Representative of the class "n extra loops with orientation sign".
 
@@ -141,10 +143,10 @@ def build_representative(
         verts.append(x_n)
     # shortest arc from the ray of p to the ray of q
     sweep = math.remainder(theta_q - theta_p, 2.0 * math.pi)
-    verts.extend(_arc_points(eps_n, theta_p, theta_p + sweep, arc_step_deg))
+    verts.extend(_arc_points(eps_n, theta_p, theta_p + sweep, _ARC_STEP_DEG))
     theta = theta_p + sweep
     for _ in range(n):
-        verts.extend(_arc_points(eps_n, theta, theta + sign * 2.0 * math.pi, arc_step_deg))
+        verts.extend(_arc_points(eps_n, theta, theta + sign * 2.0 * math.pi, _ARC_STEP_DEG))
         theta += sign * 2.0 * math.pi
     if abs(q) > eps_n:
         verts.append(q)

@@ -17,6 +17,14 @@ from .curves import PolylineCurve
 from .errors import BranchBreak, DomainError, NearCritical, NoConvergence, Overflow
 
 _TWO_PI = 2.0 * math.pi
+# Points of the truncated postsingular set closer than this are one point.
+_POSTSINGULAR_DEDUP_TOL = 1e-9
+# Iteration budget of the damped Newton solve in ``inverse_step``.
+_NEWTON_MAX_ITER = 80
+# ``inverse_step`` gives up (NearCritical) where |f'| falls below this.
+_NEWTON_DERIV_FLOOR = 1e-8
+# Bisections of the target curve allowed per ``pullback_curve`` call.
+_MAX_INSERTIONS = 4096
 
 
 @dataclass(frozen=True)
@@ -89,25 +97,22 @@ def _safe_acosh(w: complex) -> complex:
     return cmath.acosh(w)
 
 
-def _cosh_like_preimages(target: complex, r_max: float, r_min: float) -> list[complex]:
-    """Solutions of cosh z = target in the annulus r_min <= |z| <= r_max."""
+def _cosh_bases(target: complex) -> tuple[complex, complex]:
+    """The two branch bases of cosh z = target."""
     w0 = _safe_acosh(target)
-    pts: list[complex] = []
-    for base in (w0, -w0):
-        for k in _k_range(base.imag, r_max):
-            z = base + _TWO_PI * 1j * k
-            if _in_annulus(z, r_max, r_min):
-                pts.append(z)
-    pts = _dedup(pts)
-    pts.sort(key=lambda z: (abs(z), z.real, z.imag))
-    return pts
+    return w0, -w0
 
 
-def _pi_sinh_preimages(target: complex, r_max: float, r_min: float) -> list[complex]:
-    """Solutions of pi*sinh z = target in the annulus."""
+def _pi_sinh_bases(target: complex) -> tuple[complex, complex]:
+    """The two branch bases of pi*sinh z = target."""
     w0 = cmath.asinh(target / math.pi)
+    return w0, 1j * math.pi - w0
+
+
+def _lattice_preimages(bases: tuple[complex, ...], r_max: float, r_min: float) -> list[complex]:
+    """Points base + 2*pi*i*k in the annulus r_min <= |z| <= r_max, sorted by (|z|, re, im)."""
     pts: list[complex] = []
-    for base in (w0, 1j * math.pi - w0):
+    for base in bases:
         for k in _k_range(base.imag, r_max):
             z = base + _TWO_PI * 1j * k
             if _in_annulus(z, r_max, r_min):
@@ -142,7 +147,7 @@ def _make_cosh() -> EntireMapSpec:
         critical_value_witnesses=((-1.0 + 0j, 1j * math.pi), (1.0 + 0j, 0j)),
         asymptotic_values=(),
         critical_points_in_disc=lambda c, r: _imaginary_lattice_critical_points(c, r, 0.0),
-        preimages=_cosh_like_preimages,
+        preimages=lambda v, r_max, r_min: _lattice_preimages(_cosh_bases(v), r_max, r_min),
     )
 
 
@@ -157,7 +162,7 @@ def _make_pi_sinh() -> EntireMapSpec:
         critical_value_witnesses=((-1j * pi, -1j * pi / 2), (1j * pi, 1j * pi / 2)),
         asymptotic_values=(),
         critical_points_in_disc=lambda c, r: _imaginary_lattice_critical_points(c, r, pi / 2),
-        preimages=_pi_sinh_preimages,
+        preimages=lambda v, r_max, r_min: _lattice_preimages(_pi_sinh_bases(v), r_max, r_min),
     )
 
 
@@ -171,7 +176,7 @@ def _make_cosh_minus_one() -> EntireMapSpec:
         critical_value_witnesses=((-2.0 + 0j, 1j * math.pi), (0j, 0j)),
         asymptotic_values=(),
         critical_points_in_disc=lambda c, r: _imaginary_lattice_critical_points(c, r, 0.0),
-        preimages=lambda v, r_max, r_min: _cosh_like_preimages(v + 1.0, r_max, r_min),
+        preimages=lambda v, r_max, r_min: _lattice_preimages(_cosh_bases(v + 1.0), r_max, r_min),
     )
 
 
@@ -243,18 +248,30 @@ OrbitStatus = Escaped | Preperiodic | Undetermined
 
 @dataclass
 class OrbitRecord:
-    """Forward orbit of a seed with its truncation-relative classification."""
+    """Forward orbit of a seed with its truncation-relative classification.
+
+    ``attracting``: the orbit falls into an attracting cycle (see ``iterate_orbit``).
+    """
 
     seed: complex
     points: list[complex]
     status: OrbitStatus
     local_degrees: list[int] = field(default_factory=list)
+    attracting: bool = False
 
     def cycle_points(self) -> list[complex]:
         if not isinstance(self.status, Preperiodic):
             return []
         s = self.status
         return self.points[s.preperiod : s.preperiod + s.period]
+
+
+def cycle_multiplier(map_spec: EntireMapSpec, cycle: list[complex]) -> complex:
+    """Product of f' over the points of a cycle."""
+    mult = 1.0 + 0j
+    for p in cycle:
+        mult *= map_spec.deriv(p)
+    return mult
 
 
 def iterate_orbit(
@@ -269,6 +286,7 @@ def iterate_orbit(
     A revisit within ``cycle_tol`` of an earlier point yields ``Preperiodic``;
     a modulus above ``escape_radius`` (or an overflow) yields ``Escaped``.
     The first point beyond the escape radius is stored when representable.
+    The cycle attracts when its multiplier has modulus below 1 - 1e-9.
     """
     if depth < 1:
         raise DomainError("depth must be >= 1")
@@ -301,7 +319,10 @@ def iterate_orbit(
     if status is None:
         status = Undetermined(depth)
     degrees = [local_degree(map_spec, p) for p in pts]
-    return OrbitRecord(seed=complex(seed), points=pts, status=status, local_degrees=degrees)
+    record = OrbitRecord(seed=complex(seed), points=pts, status=status, local_degrees=degrees)
+    cyc = record.cycle_points()
+    record.attracting = bool(cyc) and abs(cycle_multiplier(map_spec, cyc)) < 1.0 - 1e-9
+    return record
 
 
 @dataclass(frozen=True)
@@ -328,27 +349,21 @@ class TruncatedPostsingular:
     def fatou_points(self) -> list[complex]:
         return [p.point for p in self.points if p.fatou_candidate]
 
-
-def _orbit_attracts(map_spec: EntireMapSpec, record: OrbitRecord) -> bool:
-    cyc = record.cycle_points()
-    if not cyc:
-        return False
-    mult = 1.0
-    for p in cyc:
-        mult *= abs(map_spec.deriv(p))
-    return mult < 1.0 - 1e-9
+    def attracting_cycle_points(self) -> list[complex]:
+        """Points of the attracting cycles of the stored orbits, de-duplicated, in record order."""
+        return _dedup(
+            [q for rec in self.records.values() if rec.attracting for q in rec.cycle_points()]
+        )
 
 
 def postsingular_truncation(
     map_spec: EntireMapSpec,
     depth: int,
     escape_radius: float = 1e6,
-    cycle_tol: float = 1e-9,
-    dedup_tol: float = 1e-9,
 ) -> TruncatedPostsingular:
     """Union of the truncated forward orbits of all singular values.
 
-    Points are de-duplicated with ``dedup_tol`` and tagged as Fatou
+    Points are de-duplicated with ``_POSTSINGULAR_DEDUP_TOL`` and tagged as Fatou
     candidates when their source orbit falls into a detected attracting
     cycle, Julia candidates otherwise.
     """
@@ -356,16 +371,15 @@ def postsingular_truncation(
     entries: list[PostsingularPoint] = []
     records: dict[complex, OrbitRecord] = {}
     for value in singular:
-        rec = iterate_orbit(map_spec, value, depth, escape_radius, cycle_tol)
+        rec = iterate_orbit(map_spec, value, depth, escape_radius)
         records[value] = rec
-        attracting = _orbit_attracts(map_spec, rec)
         for idx, p in enumerate(rec.points):
-            if any(abs(p - e.point) <= dedup_tol for e in entries):
+            if any(abs(p - e.point) <= _POSTSINGULAR_DEDUP_TOL for e in entries):
                 continue
             entries.append(
                 PostsingularPoint(
                     point=p,
-                    fatou_candidate=attracting,
+                    fatou_candidate=rec.attracting,
                     source_value=value,
                     orbit_index=idx,
                 )
@@ -384,13 +398,11 @@ def inverse_step(
     target: complex,
     seed: complex,
     tol: float = 1e-10,
-    max_iter: int = 80,
-    deriv_floor: float = 1e-8,
 ) -> complex:
     """Damped Newton solve of f(z) = target starting from ``seed``.
 
     Returns the branch-continuous preimage.  Raises NearCritical when |f'|
-    falls below ``deriv_floor`` along the way and NoConvergence when the
+    falls below ``_NEWTON_DERIV_FLOOR`` along the way and NoConvergence when the
     residual target is not met within the iteration budget.
     """
     z = complex(seed)
@@ -398,11 +410,11 @@ def inverse_step(
         res = abs(map_spec.eval(z) - target)
     except OverflowError:
         raise NoConvergence(0, residual=math.inf) from None
-    for it in range(max_iter):
+    for it in range(_NEWTON_MAX_ITER):
         if res <= tol:
             return z
         dz = map_spec.deriv(z)
-        if abs(dz) < deriv_floor:
+        if abs(dz) < _NEWTON_DERIV_FLOOR:
             raise NearCritical(z, abs(dz))
         step = (map_spec.eval(z) - target) / dz
         lam = 1.0
@@ -420,7 +432,7 @@ def inverse_step(
             raise NoConvergence(it + 1, residual=res)
     if res <= tol:
         return z
-    raise NoConvergence(max_iter, residual=res)
+    raise NoConvergence(_NEWTON_MAX_ITER, residual=res)
 
 
 def pullback_curve(
@@ -428,7 +440,6 @@ def pullback_curve(
     curve: PolylineCurve,
     branch_seed: complex,
     tol: float = 1e-10,
-    max_insertions: int = 4096,
 ) -> PolylineCurve:
     """Lift ``curve`` through the inverse branch selected by ``branch_seed``.
 
@@ -459,7 +470,7 @@ def pullback_curve(
         if z_new is not None and jump <= step_bound:
             lifted.append(z_new)
             return
-        if depth > 24 or inserted >= max_insertions:
+        if depth > 24 or inserted >= _MAX_INSERTIONS:
             raise BranchBreak(len(lifted) - 1, f"(target {target!r})")
         inserted += 1
         mid = 0.5 * (t_prev + target)

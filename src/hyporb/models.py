@@ -55,19 +55,24 @@ class ConeDisc:
 ModelSurface = Disc | PuncturedDisc | ConeDisc
 
 
-def cone_density(order: int, radius: float, distance: float) -> float:
-    """Density of the one-cone disc at Euclidean distance ``distance`` from the cone point.
+def cone_density_formula(k, radius, radius_root, distance):
+    """2 / (k * eps^(1/k) * d^((k-1)/k) * (1 - (d/eps)^(2/k))), given ``radius_root = eps^(1/k)``.
 
-    2 / (k * eps^(1/k) * d^((k-1)/k) * (1 - (d/eps)^(2/k))) with k = order,
-    eps = radius, d = distance.
+    The one-cone density with k = order (a float), eps = radius, d = distance,
+    on floats or numpy arrays alike; unguarded, so meaningful for 0 < d < eps only.
     """
+    u = (distance / radius) ** (1.0 / k)
+    return 2.0 / (k * radius_root * distance ** ((k - 1.0) / k) * (1.0 - u * u))
+
+
+def cone_density(order: int, radius: float, distance: float) -> float:
+    """Density of the one-cone disc at Euclidean distance ``distance`` from the cone point."""
     if distance <= _SINGULARITY_GUARD:
         raise DomainError("point is at (or numerically at) the cone point")
     if distance >= radius:
         raise DomainError("point outside the cone disc")
     k = float(order)
-    u = (distance / radius) ** (1.0 / k)
-    return 2.0 / (k * radius ** (1.0 / k) * distance ** ((k - 1.0) / k) * (1.0 - u * u))
+    return cone_density_formula(k, radius, radius ** (1.0 / k), distance)
 
 
 def density(surface: ModelSurface, z: complex) -> float:

@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import gcd
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -28,19 +29,36 @@ from .errors import (
 )
 from .maps import (
     EntireMapSpec,
-    OrbitRecord,
     Preperiodic,
     TruncatedPostsingular,
+    cycle_multiplier,
     evaluate,
     local_degree,
     postsingular_truncation,
 )
 
 _MATCH_TOL = 1e-9
+# Side of the square seed grid that ``find_repelling_cycle`` runs Newton from.
+_SEED_GRID = 12
+# Accepted repelling cycles keep at least this distance from excluded points.
+_CYCLE_EXCLUSION_RADIUS = 1e-6
+# Boundary-circle samples that certify an absorbing disc, and a lift disc about
+# one of its preimages.
+_ABSORB_SAMPLES = 720
+_LIFT_DISC_SAMPLES = 180
+# Lift marks and lift discs are the preimages within this radius of 0.
+_LIFT_WINDOW_RADIUS = 120.0
+# Samples per removed lift disc that ``boundary_set`` adds as boundary points.
+_CIRCLE_SAMPLES = 12
 
 
 def _lcm(a: int, b: int) -> int:
     return a * b // gcd(a, b)
+
+
+def _circle(center: complex, radius: float, samples: int) -> list[complex]:
+    """``samples`` equally spaced points of the circle, starting at angle 0."""
+    return [center + radius * cmath.exp(2j * math.pi * j / samples) for j in range(samples)]
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
@@ -261,7 +279,6 @@ def separation_report(
     trunc: TruncatedPostsingular,
     K: float,
     map_spec: EntireMapSpec | None = None,
-    crit_tol: float = 1e-9,
 ) -> SeparationReport:
     """Separation statistics of the Julia-candidate part of a truncation.
 
@@ -284,7 +301,7 @@ def separation_report(
             if value in witness:
                 chain.append(witness[value])
             chain.extend(rec.points)
-            degrees = [local_degree(map_spec, p, crit_tol) for p in chain]
+            degrees = [local_degree(map_spec, p) for p in chain]
             c = max(c, sum(1 for d in degrees if d > 1))
             max_deg = max(max_deg, max(degrees, default=1))
     return SeparationReport(
@@ -336,25 +353,16 @@ def _newton_periodic(
     return z if abs(w - z) < 1e-9 else None
 
 
-def cycle_multiplier(map_spec: EntireMapSpec, cycle: list[complex]) -> complex:
-    mult = 1.0 + 0j
-    for p in cycle:
-        mult *= map_spec.deriv(p)
-    return mult
-
-
 def find_repelling_cycle(
     map_spec: EntireMapSpec,
     period: int,
     seed_box: tuple[complex, complex] = (1.0 + 4.0j, 4.0 + 9.0j),
     exclude: list[complex] | None = None,
-    grid: int = 12,
-    exclusion_radius: float = 1e-6,
 ) -> list[complex]:
     """Locate a repelling cycle of the given period by Newton from a seed grid.
 
     Accepted cycles have multiplier modulus > 1 + 1e-6, exact period, and
-    keep distance >= ``exclusion_radius`` from every excluded point (by
+    keep distance >= ``_CYCLE_EXCLUSION_RADIUS`` from every excluded point (by
     default the truncated postsingular set).  The returned cycle is the
     deterministic minimum over (|z|, re, im) of the accepted cycle starts.
     """
@@ -365,8 +373,8 @@ def find_repelling_cycle(
     lo, hi = seed_box
     seeds = [
         complex(re, im)
-        for re in np.linspace(lo.real, hi.real, grid)
-        for im in np.linspace(lo.imag, hi.imag, grid)
+        for re in np.linspace(lo.real, hi.real, _SEED_GRID)
+        for im in np.linspace(lo.imag, hi.imag, _SEED_GRID)
     ]
     found: list[complex] = []
     for seed in seeds:
@@ -388,7 +396,7 @@ def find_repelling_cycle(
             continue
         if abs(cycle_multiplier(map_spec, cyc)) <= 1.0 + 1e-6:
             continue
-        if any(abs(p - q) < exclusion_radius for p in cyc for q in exclude):
+        if any(abs(p - q) < _CYCLE_EXCLUSION_RADIUS for p in cyc for q in exclude):
             continue
         if all(abs(z - f) > 1e-8 for f in found):
             found.append(z)
@@ -412,7 +420,6 @@ def find_absorbing_disc(
     map_spec: EntireMapSpec,
     attracting_point: complex,
     r_grid: tuple[float, ...] = (0.5, 1.0, 1.5, 2.0, 2.5, 3.0),
-    samples: int = 720,
 ) -> AbsorbingDisc:
     """Smallest grid radius whose disc about the attracting point maps inside itself.
 
@@ -425,10 +432,7 @@ def find_absorbing_disc(
     if abs(map_spec.deriv(p)) >= 1.0:
         raise DomainError("attracting_point is not attracting")
     for r in sorted(r_grid):
-        sup = max(
-            abs(evaluate(map_spec, p + r * cmath.exp(2j * math.pi * j / samples)) - p)
-            for j in range(samples)
-        )
+        sup = max(abs(evaluate(map_spec, z) - p) for z in _circle(p, r, _ABSORB_SAMPLES))
         if sup < r * (1.0 - 1e-6):
             return AbsorbingDisc(center=p, radius=float(r), boundary_sup=sup)
     raise NotFound(f"no radius in {r_grid!r} certifies an absorbing disc")
@@ -471,9 +475,7 @@ def _build_orbit_graph(
         nodes.append(_GraphNode(point=z, degree=local_degree(map_spec, z), image=None))
         return len(nodes) - 1
 
-    julia_values = {
-        value for value, rec in trunc.records.items() if not _orbit_attracts_rec(map_spec, rec)
-    }
+    julia_values = {value for value, rec in trunc.records.items() if not rec.attracting}
     for value, rec in trunc.records.items():
         if value not in julia_values:
             continue
@@ -491,11 +493,6 @@ def _build_orbit_graph(
     for j, a in enumerate(cyc_idx):
         nodes[a].image = cyc_idx[(j + 1) % len(cyc_idx)]
     return nodes
-
-
-def _orbit_attracts_rec(map_spec: EntireMapSpec, rec: OrbitRecord) -> bool:
-    cyc = rec.cycle_points()
-    return bool(cyc) and abs(cycle_multiplier(map_spec, cyc)) < 1.0 - 1e-9
 
 
 def _chain_lcm(nodes: list[_GraphNode]) -> list[int]:
@@ -529,8 +526,6 @@ def build_associated_orbifold(
     depth: int,
     escape_radius: float = 1e6,
     cycle: list[complex] | None = None,
-    absorb_grid: tuple[float, ...] = (0.5, 1.0, 1.5, 2.0, 2.5, 3.0),
-    lift_window_radius: float = 120.0,
 ) -> tuple[MarkedOrbifold, MarkedOrbifold]:
     """Build the truncated associated pair (base, lift) from orbit data.
 
@@ -540,7 +535,7 @@ def build_associated_orbifold(
     stored preimage nodes, with divisibility checked exactly.  When an
     attracting basin is detected the surfaces drop certified absorbing discs
     (the lift also drops the certified discs around the attracting point's
-    preimages inside ``lift_window_radius``).
+    preimages inside ``_LIFT_WINDOW_RADIUS``).
     """
     if depth < 1:
         raise DomainError("depth must be >= 1")
@@ -554,10 +549,9 @@ def build_associated_orbifold(
 
     nodes = _build_orbit_graph(map_spec, trunc, cycle)
     D = _chain_lcm(nodes)
-    cycle_set = [b for b in cycle]
 
     def is_cycle(z: complex) -> bool:
-        return any(abs(z - b) <= _MATCH_TOL for b in cycle_set)
+        return any(abs(z - b) <= _MATCH_TOL for b in cycle)
 
     julia = set()
     for p in julia_pts:
@@ -571,20 +565,14 @@ def build_associated_orbifold(
             base_marks.append((node.point, D[i]))
 
     # Surface: plane unless an attracting basin was detected.
-    fatou_cycles: list[complex] = []
-    for value, rec in trunc.records.items():
-        cyc = rec.cycle_points()
-        if cyc and abs(cycle_multiplier(map_spec, cyc)) < 1.0 - 1e-9:
-            for q in cyc:
-                if all(abs(q - f) > _MATCH_TOL for f in fatou_cycles):
-                    fatou_cycles.append(q)
+    fatou_cycles = trunc.attracting_cycle_points()
     if fatou_cycles:
         discs = []
         lift_discs = []
         for q in sorted(fatou_cycles, key=lambda z: (abs(z), z.real, z.imag)):
-            disc = find_absorbing_disc(map_spec, q, absorb_grid)
+            disc = find_absorbing_disc(map_spec, q)
             discs.append((disc.center, disc.radius))
-            for pre in map_spec.preimages(q, lift_window_radius, 0.0):
+            for pre in map_spec.preimages(q, _LIFT_WINDOW_RADIUS, 0.0):
                 r_pre = _certify_preimage_disc(map_spec, pre, disc)
                 if r_pre is not None:
                     lift_discs.append((pre, r_pre))
@@ -630,15 +618,10 @@ def build_associated_orbifold(
     # the quotient ramification; most of them are unmarked in the base and
     # feed the boundary set.
     for value, nu_value in base.marks:
-        for z in map_spec.preimages(value, lift_window_radius, 0.0):
-            if not base.contains(z):
-                continue
-            deg = local_degree(map_spec, z)
-            if nu_value % deg != 0:
-                raise DivisibilityError(
-                    f"deg(f, {z!r}) = {deg} does not divide nu({value!r}) = {nu_value}"
-                )
-            add_lift_mark(z, nu_value // deg)
+        for z, nu_tilde in _mark_preimages(
+            map_spec, value, nu_value, _LIFT_WINDOW_RADIUS, 0.0, base.contains
+        ):
+            add_lift_mark(z, nu_tilde)
 
     lift = MarkedOrbifold(
         lift_surface, tuple(lift_marks), truncation_depth=depth, truncation_complete=complete
@@ -646,22 +629,42 @@ def build_associated_orbifold(
     return base, lift
 
 
+def _mark_preimages(
+    map_spec: EntireMapSpec,
+    value: complex,
+    nu_value: int,
+    r_max: float,
+    r_min: float,
+    keep: Callable[[complex], bool],
+) -> Iterator[tuple[complex, int]]:
+    """Preimages z of a mark in the annulus that pass ``keep``, with nu / deg(f, z).
+
+    ``keep`` is tested before the local degree; a degree that does not divide
+    the mark's ramification raises DivisibilityError.
+    """
+    for z in map_spec.preimages(value, r_max, r_min):
+        if not keep(z):
+            continue
+        deg = local_degree(map_spec, z)
+        if nu_value % deg != 0:
+            raise DivisibilityError(
+                f"deg(f, {z!r}) = {deg} does not divide nu({value!r}) = {nu_value}"
+            )
+        yield z, nu_value // deg
+
+
 def _certify_preimage_disc(
     map_spec: EntireMapSpec,
     pre: complex,
     disc: AbsorbingDisc,
-    samples: int = 180,
 ) -> float | None:
     """Largest grid radius r with f(D_r(pre)) inside the absorbing disc."""
     best = None
     for r in (disc.radius, disc.radius * 0.5, disc.radius * 0.25):
         try:
             sup = max(
-                abs(
-                    evaluate(map_spec, pre + r * cmath.exp(2j * math.pi * j / samples))
-                    - disc.center
-                )
-                for j in range(samples)
+                abs(evaluate(map_spec, z) - disc.center)
+                for z in _circle(pre, r, _LIFT_DISC_SAMPLES)
             )
         except (Overflow, OverflowError):
             continue
@@ -798,7 +801,6 @@ def boundary_set(
     lift: MarkedOrbifold,
     base: MarkedOrbifold,
     window: Window,
-    circle_samples: int = 12,
 ) -> BoundarySet:
     """Enumerate boundary points of the lift inside the base within a window.
 
@@ -814,17 +816,15 @@ def boundary_set(
             lift.surface, base.surface
         ):
             return BoundarySet([], [], truncation_warning=False)
+
+    def in_both(z: complex) -> bool:
+        return base.contains(z) and lift.contains(z)
+
     seen: set[tuple[float, float]] = set()
     for value, nu_value in base.marks:
-        for z in map_spec.preimages(value, window.r_max, window.r_min):
-            if not base.contains(z) or not lift.contains(z):
-                continue
-            deg = local_degree(map_spec, z)
-            if nu_value % deg != 0:
-                raise DivisibilityError(
-                    f"deg(f, {z!r}) = {deg} does not divide nu({value!r}) = {nu_value}"
-                )
-            nu_tilde = nu_value // deg
+        for z, nu_tilde in _mark_preimages(
+            map_spec, value, nu_value, window.r_max, window.r_min, in_both
+        ):
             if nu_tilde > base.ramification(z):
                 key = (round(z.real, 8), round(z.imag, 8))
                 if key not in seen:
@@ -837,8 +837,7 @@ def boundary_set(
             shared = any(abs(c - cb) <= _MATCH_TOL and abs(r - rb) <= 1e-12 for cb, rb in base_discs)
             if shared:
                 continue  # coincides with the base boundary: infinite distance
-            for j in range(circle_samples):
-                z = c + r * cmath.exp(2j * math.pi * j / circle_samples)
+            for z in _circle(c, r, _CIRCLE_SAMPLES):
                 m = abs(z - window.center)
                 if window.r_min <= m <= window.r_max and base.contains(z):
                     pts.append(z)

@@ -2,7 +2,11 @@
 
 import json
 
+import pytest
+
 from hyporb.cli import RunConfig, cmd_bounds, f12, load_config, main
+from hyporb.maps import get_map
+from hyporb.orbifolds import build_associated_orbifold
 
 
 def run(args):
@@ -83,6 +87,21 @@ def test_basin_artifacts(tmp_path):
     assert run(["basin", "--output", str(tmp_path), "--map", "cosh"]) == 0
     payload = json.loads((tmp_path / "basin.json").read_text())
     assert payload["absorbing_discs"] == []
+
+
+@pytest.mark.parametrize(
+    "map_name, centers",
+    [("cosh", []), ("pi_sinh", []), ("cosh_minus_one", [[0.0, 0.0]])],
+)
+def test_basin_discs_are_the_removed_discs_of_the_orbifold(tmp_path, map_name, centers):
+    # cmd_basin and build_associated_orbifold read one attracting-cycle rule
+    cfg = RunConfig()
+    assert run(["basin", "--output", str(tmp_path), "--map", map_name]) == 0
+    payload = json.loads((tmp_path / "basin.json").read_text())
+    basin = [d["center"] for d in payload["absorbing_discs"]]
+    base, _ = build_associated_orbifold(get_map(map_name), cfg.depth, cfg.escape_radius)
+    removed = getattr(base.surface, "discs", ())
+    assert basin == [[f12(c.real), f12(c.imag)] for c, _ in removed] == centers
 
 
 def test_homotopy_artifacts(tmp_path):

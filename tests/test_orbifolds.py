@@ -70,6 +70,11 @@ def test_build_trivial_map_marks_only_cycle():
     assert lift.ramification(8.0 + 0j) == 2
 
 
+def test_trivial_map_has_no_attracting_cycle_points():
+    # 0 attracts under z/2, but no singular orbit reaches it
+    assert postsingular_truncation(_linear_half_map(), 4).attracting_cycle_points() == []
+
+
 def test_build_rejects_cycle_on_postsingular_set(pi_sinh_map):
     with pytest.raises(CycleCollision):
         build_associated_orbifold(pi_sinh_map, 10, cycle=[1j * PI])

@@ -15,10 +15,9 @@ from hypothesis import strategies as st
 from hyporb.certify import (
     _boundary_min_dist,
     _nearest_first,
-    _seg_point_dists,
     certified_curve_length,
 )
-from hyporb.curves import PolylineCurve
+from hyporb.curves import PolylineCurve, polyline_point_distance, segment_point_distances
 from hyporb.errors import DomainError
 from hyporb.maps import _dedup
 from hyporb.orbifolds import DiscSurface, MarkedOrbifold, Plane, PlaneMinusDiscs
@@ -73,7 +72,7 @@ def curve_length_reference(orb, curve, refinement=1e-3, mark_margin=1e-9, max_ro
         if np.any(bdy < mark_margin) or np.any(bdy <= 0):
             raise DomainError("curve touches the surface boundary")
         if marks.size:
-            dmin = _seg_point_dists(a_, b_, marks)
+            dmin = segment_point_distances(a_, b_, marks)
             dmax = np.maximum(np.abs(a_[:, None] - marks[None, :]),
                               np.abs(b_[:, None] - marks[None, :]))
             if np.any(dmin.min(axis=1) < mark_margin) or np.any(dmin.min(axis=1) <= 0):
@@ -120,6 +119,23 @@ def curve_length_reference(orb, curve, refinement=1e-3, mark_margin=1e-9, max_ro
 
 def nearest_first_reference(pts, z):
     return sorted(range(len(pts)), key=lambda i: (abs(pts[i] - z), pts[i].real, pts[i].imag))
+
+
+def segment_point_distance(a, b, p):
+    """Scalar distance from ``p`` to the segment ``[a, b]``."""
+    d = b - a
+    dd = d.real * d.real + d.imag * d.imag
+    if dd == 0.0:
+        return abs(p - a)
+    t = ((p - a).real * d.real + (p - a).imag * d.imag) / dd
+    t = min(1.0, max(0.0, t))
+    return abs(p - (a + t * d))
+
+
+def polyline_point_distance_reference(curve, p):
+    return min(
+        segment_point_distance(a, b, p) for a, b in zip(curve.vertices, curve.vertices[1:])
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -267,6 +283,37 @@ def test_certified_length_straddling_isolation_radius():
             curve = PolylineCurve([p + 0.01 * eps * direction, p + 1.5 * eps * direction])
             for refinement in (0.1, 1e-3):
                 assert _same_length_or_same_error(orb, curve, refinement=refinement)
+
+
+# ---------------------------------------------------------------------------
+# Point-to-polyline distance
+# ---------------------------------------------------------------------------
+
+
+def test_polyline_point_distance_matches_scalar_loop():
+    # Within 2 ulps, not bit for bit: the kernel takes numpy's abs of complex
+    # arrays, which may differ from abs() of a Python complex in the last bit
+    # (it does on AVX-512 hosts).
+    rng = np.random.default_rng(5)
+    curves = [PolylineCurve.constant(0.4 - 1.1j)]
+    for _ in range(150):
+        n = int(rng.integers(2, 7))
+        verts = [complex(v) for v in rng.uniform(-3, 3, n) + 1j * rng.uniform(-3, 3, n)]
+        i = int(rng.integers(n))
+        verts.insert(i, verts[i])  # a zero-length segment
+        curves.append(PolylineCurve(verts))
+    checked = 0
+    for curve in curves:
+        points = [complex(rng.uniform(-4, 4), rng.uniform(-4, 4)) for _ in range(3)]
+        for a, b in zip(curve.vertices, curve.vertices[1:]):
+            s = rng.uniform(0.1, 2.0)
+            points += [a - s * (b - a), b + s * (b - a)]  # beyond both ends
+        for p in points:
+            want = polyline_point_distance_reference(curve, p)
+            got = polyline_point_distance(curve, p)
+            assert abs(got - want) <= 2 * math.ulp(want), (curve.vertices, p)
+            checked += 1
+    assert checked > 1500
 
 
 # ---------------------------------------------------------------------------
