@@ -18,18 +18,10 @@ import numpy as np
 
 from .bounds import lambda_lower
 from .curves import PolylineCurve, polyline_point_distance, segment_point_distances
-from .errors import BranchBreak, DomainError, PathBlocked
-from .maps import EntireMapSpec, evaluate, pullback_curve
+from .errors import DomainError, PathBlocked
+from .maps import EntireMapSpec, evaluate, nearest_preimage, pullback_curve
 from .models import ConeDisc, cone_density, cone_density_formula, hyp_distance_disc
-from .orbifolds import (
-    BoundarySet,
-    DiscSurface,
-    MarkedOrbifold,
-    Plane,
-    PlaneMinusDiscs,
-    Window,
-    boundary_set,
-)
+from .orbifolds import BoundarySet, MarkedOrbifold, Window, boundary_set
 
 # A piece keeps splitting while its density supremum exceeds this factor times
 # the density at its far end; it bounds the overestimate near singularities.
@@ -67,7 +59,7 @@ def upper_density_bound(orb: MarkedOrbifold, z: complex) -> DensityBound:
     z = complex(z)
     if not orb.contains(z):
         raise DomainError(f"{z!r} lies outside the surface")
-    b_dist = orb.boundary_distance(z)
+    b_dist = orb.surface.boundary_distance(z)
     if not orb.marks:
         if not math.isfinite(b_dist):
             raise DomainError("mark-free plane is not hyperbolic")
@@ -97,24 +89,6 @@ def upper_density_bound(orb: MarkedOrbifold, z: complex) -> DensityBound:
 # ---------------------------------------------------------------------------
 # Vectorized certified curve length
 # ---------------------------------------------------------------------------
-
-
-def _boundary_min_dist(orb: MarkedOrbifold, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Per-piece minimum distance to the surface boundary."""
-    n = a.shape[0]
-    if isinstance(orb.surface, Plane):
-        return np.full(n, np.inf)
-    if isinstance(orb.surface, PlaneMinusDiscs):
-        centers = np.asarray([c for c, _ in orb.surface.discs], dtype=complex)
-        radii = np.asarray([r for _, r in orb.surface.discs])
-        if centers.size == 0:
-            return np.full(n, np.inf)
-        d = segment_point_distances(a, b, centers) - radii[None, :]
-        return d.min(axis=1)
-    # Disc surface: the boundary circle is farthest from the segment at an endpoint.
-    c = orb.surface.center
-    far = np.maximum(np.abs(a - c), np.abs(b - c))
-    return orb.surface.radius - far
 
 
 def certified_curve_length(
@@ -167,7 +141,7 @@ def certified_curve_length(
 
     def piece_bounds(a_: np.ndarray, b_: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(sup bound, far-end pointwise bound) per piece."""
-        bdy = _boundary_min_dist(orb, a_, b_)
+        bdy = orb.surface.segment_boundary_distances(a_, b_)
         if (bdy < mark_margin).any() or (bdy <= 0).any():
             raise DomainError("curve touches the surface boundary")
         if not marks.size:
@@ -242,8 +216,8 @@ class ExpansionCertificate:
         }
 
 
-def _exact_disc_distance(orb: MarkedOrbifold, z: complex, w: complex) -> float:
-    c, r = orb.surface.center, orb.surface.radius
+def _exact_disc_distance(disc: tuple[complex, float], z: complex, w: complex) -> float:
+    c, r = disc
     return hyp_distance_disc((z - c) / r, (w - c) / r)
 
 
@@ -289,9 +263,10 @@ def expansion_certificate(
     if not base.contains(z):
         raise DomainError(f"{z!r} outside the base surface")
 
-    if isinstance(base.surface, DiscSurface) and not base.marks:
-        b = min(boundary.points, key=lambda p: _exact_disc_distance(base, z, p))
-        R_bar = _exact_disc_distance(base, z, b)
+    disc = base.surface.outer
+    if disc is not None and not base.surface.holes and not base.marks:
+        b = min(boundary.points, key=lambda p: _exact_disc_distance(disc, z, p))
+        R_bar = _exact_disc_distance(disc, z, b)
         return ExpansionCertificate(
             point=z,
             path=PolylineCurve.segment(z, b),
@@ -353,7 +328,7 @@ def _path_len(pts: list[complex]) -> float:
 def _local_isolation(orb: MarkedOrbifold, z: complex) -> float:
     marks = orb.mark_array
     if marks.size == 0:
-        d = orb.boundary_distance(z)
+        d = orb.surface.boundary_distance(z)
         return d if math.isfinite(d) else 1.0
     return float(np.abs(marks - z).min())
 
@@ -512,11 +487,7 @@ def pullback_shrinking_experiment(
         )
         curves.append(lifted)
         if k < k_max:
-            target = lifted.vertices[0]
-            pres = map_spec.preimages(target, abs(target) + 12.0, 0.0)
-            if not pres:
-                raise BranchBreak(0, "no preimages for the next pullback step")
-            seed = min(pres, key=lambda p: (abs(p - target), p.real, p.imag))
+            seed = nearest_preimage(map_spec, lifted.vertices[0])
 
     # forward consistency of the deepest curve
     residual = 0.0

@@ -16,7 +16,7 @@ import cmath
 import json
 import math
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -31,12 +31,12 @@ from .certify import (
     spearman_rank_correlation,
 )
 from .curves import PolylineCurve
-from .errors import HyporbError, NotFound, UsageError
+from .errors import HyporbError, UsageError
 from .homotopy import build_representative, epsilon_prime, relative_winding, winding_class
-from .maps import get_map, postsingular_truncation
+from .maps import get_map, nearest_preimage, postsingular_truncation
 from .orbifolds import (
-    DiscSurface,
     MarkedOrbifold,
+    Surface,
     Window,
     boundary_set,
     build_associated_orbifold,
@@ -159,6 +159,17 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
+def _rounded(data):
+    """``data`` with ``f12`` applied to every float, through dicts and lists."""
+    if isinstance(data, float):
+        return f12(data)
+    if isinstance(data, dict):
+        return {k: _rounded(v) for k, v in data.items()}
+    if isinstance(data, list):
+        return [_rounded(v) for v in data]
+    return data
+
+
 class _Reporter:
     """Writes the per-command json/csv artifacts under the output directory."""
 
@@ -169,9 +180,10 @@ class _Reporter:
         self.outdir.mkdir(parents=True, exist_ok=True)
 
     def write_json(self, payload: dict) -> None:
+        """Writes ``payload`` with every float rounded by ``f12``."""
         if self.cfg.format in ("json", "both"):
             path = self.outdir / f"{self.command}.json"
-            path.write_text(json.dumps(payload, indent=2) + "\n")
+            path.write_text(json.dumps(_rounded(payload), indent=2) + "\n")
 
     def write_csv(self, header: list[str], rows: list[list]) -> None:
         if self.cfg.format in ("csv", "both"):
@@ -191,18 +203,18 @@ def cmd_bounds(cfg: RunConfig) -> int:
     rep = _Reporter(cfg, "bounds")
     chain = bnd.verify_bound_chain(bnd.default_w_grid(cfg.w_points), range(2, cfg.k_max + 1))
     table = bnd.lambda_table(cfg.r_min, cfg.r_max, cfg.r_points)
-    rep.write_csv(["R", "Lambda"], [[f12(R), f12(v)] for R, v in table])
+    rep.write_csv(["R", "Lambda"], [[R, v] for R, v in table])
     rep.write_json(
         {
             "command": "bounds",
             "passed": chain.passed,
             "samples": len(chain.samples),
-            "worst_slack": f12(chain.worst_slack),
+            "worst_slack": chain.worst_slack,
             "violations": [
-                {"w": f12(v.w), "k": v.k, "what": v.description, "slack": f12(v.slack)}
+                {"w": v.w, "k": v.k, "what": v.description, "slack": v.slack}
                 for v in chain.violations[:20]
             ],
-            "lambda_at_1": f12(bnd.lambda_lower(1.0)),
+            "lambda_at_1": bnd.lambda_lower(1.0),
         }
     )
     print(f"bounds: {'pass' if chain.passed else 'FAIL'} "
@@ -232,29 +244,23 @@ def cmd_orbifold(cfg: RunConfig) -> int:
     payload = {
         "command": "orbifold",
         "map": cfg.map,
-        "base": _round_orbifold(base.to_json()),
-        "lift": _round_orbifold(lift.to_json()),
+        "base": base.to_json(),
+        "lift": lift.to_json(),
         "covering_passed": covering.passed,
         "covering_witnesses": covering.witnesses[:10],
         "inclusion_passed": inclusion.passed,
         "inclusion_witnesses": inclusion.witnesses[:10],
-        "separation": {k: f12(v) if isinstance(v, float) else v for k, v in sep.to_json().items()},
+        "separation": sep.to_json(),
     }
     rep.write_json(payload)
     rep.write_csv(
         ["mark_re", "mark_im", "ramification"],
-        [[f12(p.real), f12(p.imag), nu] for p, nu in base.marks],
+        [[p.real, p.imag, nu] for p, nu in base.marks],
     )
     ok = covering.passed and inclusion.passed
     print(f"orbifold[{cfg.map}]: {'pass' if ok else 'FAIL'} "
           f"({len(base.marks)} base marks, {len(lift.marks)} lift marks)")
     return 0 if ok else 2
-
-
-def _round_orbifold(data: dict) -> dict:
-    data["surface"]["discs"] = [[f12(v) for v in d] for d in data["surface"]["discs"]]
-    data["marks"] = [[f12(m[0]), f12(m[1]), m[2]] for m in data["marks"]]
-    return data
 
 
 def cmd_separation(cfg: RunConfig) -> int:
@@ -265,16 +271,16 @@ def cmd_separation(cfg: RunConfig) -> int:
     payload = {
         "command": "separation",
         "map": cfg.map,
-        "points": [[f12(p.point.real), f12(p.point.imag)] for p in trunc.points],
+        "points": [[p.point.real, p.point.imag] for p in trunc.points],
         "julia_candidates": sum(1 for p in trunc.points if not p.fatou_candidate),
         "fatou_candidates": sum(1 for p in trunc.points if p.fatou_candidate),
-        "report": {k: f12(v) if isinstance(v, float) else v for k, v in sep.to_json().items()},
+        "report": sep.to_json(),
     }
     rep.write_json(payload)
     rep.write_csv(
         ["epsilon_star", "annulus_count_M", "orbit_crit_bound_c", "max_local_degree", "depth", "K"],
-        [[f12(sep.epsilon_star), sep.annulus_count_M, sep.orbit_crit_bound_c,
-          sep.max_local_degree, sep.depth, f12(sep.K)]],
+        [[sep.epsilon_star, sep.annulus_count_M, sep.orbit_crit_bound_c,
+          sep.max_local_degree, sep.depth, sep.K]],
     )
     print(f"separation[{cfg.map}]: eps*={_fmt(sep.epsilon_star)} M={sep.annulus_count_M} "
           f"c={sep.orbit_crit_bound_c}")
@@ -314,28 +320,10 @@ def cmd_expansion(cfg: RunConfig) -> int:
     payload = {
         "command": "expansion",
         "map": cfg.map,
-        "certificates": [
-            {
-                "point": [f12(c.point.real), f12(c.point.imag)],
-                "R_bar": f12(c.R_bar),
-                "lambda_bar": f12(c.lambda_bar),
-                "path": [[f12(v.real), f12(v.imag)] for v in c.path.vertices],
-                "truncation_depth": c.truncation_depth,
-            }
-            for c in certs
-        ],
-        "min_lambda_bar": f12(min_lambda),
-        "scan": [
-            {
-                "scale": f12(r.scale),
-                "max_R_bar": f12(r.max_R_bar),
-                "min_lambda_bar": f12(r.min_lambda_bar),
-                "samples": r.samples,
-                "truncation_warning": r.truncation_warning,
-            }
-            for r in rows
-        ],
-        "scan_spearman": f12(rho),
+        "certificates": [c.to_json() for c in certs],
+        "min_lambda_bar": min_lambda,
+        "scan": [asdict(r) for r in rows],
+        "scan_spearman": rho,
         "boundary_points": len(supply),
         "truncation_note": "boundary set enumerated from depth-"
         f"{cfg.depth} truncated data; escape labels are truncation-relative",
@@ -343,7 +331,7 @@ def cmd_expansion(cfg: RunConfig) -> int:
     rep.write_json(payload)
     rep.write_csv(
         ["scale", "max_R_bar", "min_lambda_bar", "samples"],
-        [[f12(r.scale), f12(r.max_R_bar), f12(r.min_lambda_bar), r.samples] for r in rows],
+        [[r.scale, r.max_R_bar, r.min_lambda_bar, r.samples] for r in rows],
     )
     print(f"expansion[{cfg.map}]: min certified lambda {_fmt(min_lambda)} over {len(certs)} points")
     if min_lambda <= 1.0:
@@ -358,12 +346,7 @@ def cmd_pullback(cfg: RunConfig) -> int:
     a = complex(cfg.pullback_re_a, cfg.pullback_imag)
     b = complex(cfg.pullback_re_b, cfg.pullback_imag)
     curve0 = PolylineCurve([a, b])
-    seed = -cmath.acosh(a) if cfg.map in ("cosh",) else None
-    if seed is None:
-        pres = spec.preimages(a, abs(a) + 12.0, 0.0)
-        if not pres:
-            raise NotFound("no branch seed for the pullback experiment")
-        seed = min(pres, key=lambda p: (abs(p - a), p.real, p.imag))
+    seed = -cmath.acosh(a) if cfg.map == "cosh" else nearest_preimage(spec, a)
     result = pullback_shrinking_experiment(
         spec, pair, curve0, seed, k_max=cfg.pullback_kmax, refinement=cfg.refinement
     )
@@ -371,18 +354,18 @@ def cmd_pullback(cfg: RunConfig) -> int:
     bad = [(k, v) for k, v in ratios if k >= 2 and not v < 1.0]
     rep.write_csv(
         ["k", "length_bound"],
-        [[r.k, f12(r.length_bound)] for r in result.rows],
+        [[r.k, r.length_bound] for r in result.rows],
     )
     rep.write_json(
         {
             "command": "pullback",
             "map": cfg.map,
-            "curve0": [[f12(v.real), f12(v.imag)] for v in curve0.vertices],
-            "branch_seed": [f12(seed.real), f12(seed.imag)],
-            "lengths": [f12(r.length_bound) for r in result.rows],
-            "ratios": [{"k": k, "ratio": f12(v)} for k, v in ratios],
-            "decay_rate": f12(result.decay_rate),
-            "forward_residual": f12(result.forward_residual),
+            "curve0": [[v.real, v.imag] for v in curve0.vertices],
+            "branch_seed": [seed.real, seed.imag],
+            "lengths": [r.length_bound for r in result.rows],
+            "ratios": [{"k": k, "ratio": v} for k, v in ratios],
+            "decay_rate": result.decay_rate,
+            "forward_residual": result.forward_residual,
             "monotone_after_burn_in": not bad,
         }
     )
@@ -399,7 +382,7 @@ def cmd_homotopy(cfg: RunConfig) -> int:
     violations = 0
     for d in cfg.homotopy_orders():
         ep = epsilon_prime(eps, d)
-        orb = MarkedOrbifold(DiscSurface(0j, eps), ((0j, d),))
+        orb = MarkedOrbifold(Surface(outer=(0j, eps)), ((0j, d),))
         p = 0.8 * ep * cmath.exp(0.3j)
         q = 0.6 * ep * cmath.exp(-1.1j)
         direct = build_representative(p, q, 0, 1, eps, d)
@@ -411,18 +394,18 @@ def cmd_homotopy(cfg: RunConfig) -> int:
                 wind = relative_winding(winding_class(rep_curve, 0j), w0)
                 ok = length < limit and wind == sign * n
                 violations += 0 if ok else 1
-                rows.append([d, n, sign, f12(length), wind, f12(limit)])
+                rows.append([d, n, sign, length, wind, limit])
     rep.write_csv(["d", "n", "sign", "length", "winding", "limit"], rows)
     rep.write_json(
         {
             "command": "homotopy",
-            "eps": f12(eps),
+            "eps": eps,
             "orders": cfg.homotopy_orders(),
             "n_max": cfg.homotopy_n_max,
             "rows": len(rows),
             "violations": violations,
-            "max_length": f12(max(r[3] for r in rows)),
-            "limit": f12(limit),
+            "max_length": max(r[3] for r in rows),
+            "limit": limit,
         }
     )
     print(f"homotopy: {len(rows)} representatives, max length "
@@ -439,9 +422,9 @@ def cmd_basin(cfg: RunConfig) -> int:
         disc = find_absorbing_disc(spec, q)
         discs.append(
             {
-                "center": [f12(disc.center.real), f12(disc.center.imag)],
-                "radius": f12(disc.radius),
-                "boundary_sup": f12(disc.boundary_sup),
+                "center": [disc.center.real, disc.center.imag],
+                "radius": disc.radius,
+                "boundary_sup": disc.boundary_sup,
             }
         )
     rep.write_json({"command": "basin", "map": cfg.map, "absorbing_discs": discs})

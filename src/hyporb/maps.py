@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .curves import PolylineCurve
-from .errors import BranchBreak, DomainError, NearCritical, NoConvergence, Overflow
+from .errors import BranchBreak, DomainError, NearCritical, NoConvergence, NotFound, Overflow
 
 _TWO_PI = 2.0 * math.pi
 # Points of the truncated postsingular set closer than this are one point.
@@ -433,6 +433,17 @@ def inverse_step(
     if res <= tol:
         return z
     raise NoConvergence(_NEWTON_MAX_ITER, residual=res)
+
+
+def nearest_preimage(map_spec: EntireMapSpec, a: complex) -> complex:
+    """The preimage of ``a`` within |z| <= |a| + 12 nearest to ``a``, ties broken by (re, im).
+
+    This seeds the inverse branch of a pullback; raises NotFound when there is none.
+    """
+    pres = map_spec.preimages(a, abs(a) + 12.0, 0.0)
+    if not pres:
+        raise NotFound(f"no preimage of {a!r} within |z| <= |a| + 12")
+    return min(pres, key=lambda p: (abs(p - a), p.real, p.imag))
 
 
 def pullback_curve(

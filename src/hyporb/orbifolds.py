@@ -19,6 +19,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
+from .curves import segment_point_distances
 from .errors import (
     CycleCollision,
     DivisibilityError,
@@ -72,26 +73,83 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class Plane:
-    """The whole complex plane."""
+class Surface:
+    """The plane, or the open disc ``outer``, minus the closed discs ``holes``.
 
+    Discs are ``(center, radius)`` pairs.  Associated orbifolds live on the
+    plane minus absorbing discs; the synthetic model pairs live on a disc.
+    """
 
-@dataclass(frozen=True)
-class PlaneMinusDiscs:
-    """Plane with finitely many closed round discs removed."""
+    holes: tuple[tuple[complex, float], ...] = ()
+    outer: tuple[complex, float] | None = None
 
-    discs: tuple[tuple[complex, float], ...]
+    def contains(self, z: complex) -> bool:
+        if self.outer is not None and not abs(z - self.outer[0]) < self.outer[1]:
+            return False
+        # a plain loop: boundary enumeration calls this tens of thousands of
+        # times, and all() over a generator costs more per hole
+        for c, r in self.holes:
+            if not abs(z - c) > r:
+                return False
+        return True
 
+    def boundary_distance(self, z: complex) -> float:
+        """Euclidean distance from ``z`` to the boundary (inf on the plane)."""
+        d = min((abs(z - c) - r for c, r in self.holes), default=math.inf)
+        if self.outer is not None:
+            d = min(d, self.outer[1] - abs(z - self.outer[0]))
+        return d
 
-@dataclass(frozen=True)
-class DiscSurface:
-    """A bounded round disc domain (used by synthetic model pairs)."""
+    def segment_boundary_distances(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Per segment ``a[i] b[i]``, the minimum distance to the boundary."""
+        d = np.full(a.shape[0], np.inf)
+        if self.holes:
+            centers = np.asarray([c for c, _ in self.holes], dtype=complex)
+            radii = np.asarray([r for _, r in self.holes])
+            d = (segment_point_distances(a, b, centers) - radii[None, :]).min(axis=1)
+        if self.outer is not None:
+            # the outer circle is nearest to the segment at an endpoint
+            c, r = self.outer
+            d = np.minimum(d, r - np.maximum(np.abs(a - c), np.abs(b - c)))
+        return d
 
-    center: complex
-    radius: float
+    def within(self, other: "Surface") -> bool:
+        """Whether this surface lies in ``other``, up to 1e-12 in the radii.
 
+        Every hole of ``other`` must be covered by a hole of this surface, and
+        this surface's outer disc must lie in that of ``other``.
+        """
+        if other.outer is not None:
+            if self.outer is None:
+                return False
+            (c, r), (co, ro) = self.outer, other.outer
+            if abs(c - co) + r > ro + 1e-12:
+                return False
+        return all(
+            any(abs(c - ci) + r <= ri + 1e-12 for ci, ri in self.holes) for c, r in other.holes
+        )
 
-Surface = Plane | PlaneMinusDiscs | DiscSurface
+    def to_json(self) -> dict:
+        if self.outer is None:
+            kind = "plane_minus_discs" if self.holes else "plane"
+            discs = self.holes
+        elif self.holes:
+            raise DomainError("the JSON format has no kind for a disc with holes")
+        else:
+            kind, discs = "disc", (self.outer,)
+        return {"kind": kind, "discs": [[c.real, c.imag, r] for c, r in discs]}
+
+    @staticmethod
+    def from_json(data: dict) -> "Surface":
+        kind = data["kind"]
+        discs = tuple((complex(d[0], d[1]), float(d[2])) for d in data["discs"])
+        if kind == "plane" and not discs:
+            return Surface()
+        if kind == "plane_minus_discs":
+            return Surface(holes=discs)
+        if kind == "disc" and len(discs) == 1:
+            return Surface(outer=discs[0])
+        raise DomainError(f"malformed surface: kind {kind!r} with {len(discs)} disc(s)")
 
 
 @dataclass(frozen=True)
@@ -99,7 +157,7 @@ class MarkedOrbifold:
     """Planar surface descriptor plus finitely many marked points.
 
     ``marks`` maps points to ramification values >= 2; marks are pairwise
-    separated by at least 1e-9 and never lie inside a removed disc.
+    separated by at least 1e-9 and lie in the surface.
     ``truncation_complete`` records that every source orbit closed up within
     the truncation (no escaping orbit), so no marks are missing.
 
@@ -125,19 +183,7 @@ class MarkedOrbifold:
                 raise DomainError(f"mark {p!r} outside the surface")
 
     def contains(self, z: complex) -> bool:
-        if isinstance(self.surface, Plane):
-            return True
-        if isinstance(self.surface, PlaneMinusDiscs):
-            return all(abs(z - c) > r for c, r in self.surface.discs)
-        return abs(z - self.surface.center) < self.surface.radius
-
-    def boundary_distance(self, z: complex) -> float:
-        """Euclidean distance from ``z`` to the surface boundary (inf on the plane)."""
-        if isinstance(self.surface, Plane):
-            return math.inf
-        if isinstance(self.surface, PlaneMinusDiscs):
-            return min(abs(z - c) - r for c, r in self.surface.discs)
-        return self.surface.radius - abs(z - self.surface.center)
+        return self.surface.contains(z)
 
     def ramification(self, z: complex, tol: float = _MATCH_TOL) -> int:
         for p, nu in self.marks:
@@ -160,26 +206,17 @@ class MarkedOrbifold:
         """Per mark, the distance to the nearest other mark or the boundary (may be inf)."""
         pts = [p for p, _ in self.marks]
         radii = [
-            min([self.boundary_distance(p)] + [abs(p - q) for j, q in enumerate(pts) if j != i])
+            min(
+                [self.surface.boundary_distance(p)]
+                + [abs(p - q) for j, q in enumerate(pts) if j != i]
+            )
             for i, p in enumerate(pts)
         ]
         return _readonly(np.asarray(radii, dtype=float))
 
     def to_json(self) -> dict:
-        if isinstance(self.surface, Plane):
-            surf = {"kind": "plane", "discs": []}
-        elif isinstance(self.surface, PlaneMinusDiscs):
-            surf = {
-                "kind": "plane_minus_discs",
-                "discs": [[c.real, c.imag, r] for c, r in self.surface.discs],
-            }
-        else:
-            surf = {
-                "kind": "disc",
-                "discs": [[self.surface.center.real, self.surface.center.imag, self.surface.radius]],
-            }
         return {
-            "surface": surf,
+            "surface": self.surface.to_json(),
             "marks": [[p.real, p.imag, nu] for p, nu in self.marks],
             "truncation_depth": self.truncation_depth,
             "truncation_complete": self.truncation_complete,
@@ -187,20 +224,9 @@ class MarkedOrbifold:
 
     @staticmethod
     def from_json(data: dict) -> "MarkedOrbifold":
-        kind = data["surface"]["kind"]
-        discs = [(complex(c[0], c[1]), float(c[2])) for c in data["surface"]["discs"]]
-        if kind == "plane":
-            surface: Surface = Plane()
-        elif kind == "plane_minus_discs":
-            surface = PlaneMinusDiscs(tuple(discs))
-        elif kind == "disc":
-            (c, r), = discs
-            surface = DiscSurface(c, r)
-        else:
-            raise DomainError(f"unknown surface kind {kind!r}")
         marks = tuple((complex(m[0], m[1]), int(m[2])) for m in data["marks"])
         return MarkedOrbifold(
-            surface,
+            Surface.from_json(data["surface"]),
             marks,
             int(data["truncation_depth"]),
             bool(data.get("truncation_complete", False)),
@@ -564,29 +590,25 @@ def build_associated_orbifold(
         elif i in julia and D[i] > 1:
             base_marks.append((node.point, D[i]))
 
-    # Surface: plane unless an attracting basin was detected.
-    fatou_cycles = trunc.attracting_cycle_points()
-    if fatou_cycles:
-        discs = []
-        lift_discs = []
-        for q in sorted(fatou_cycles, key=lambda z: (abs(z), z.real, z.imag)):
-            disc = find_absorbing_disc(map_spec, q)
-            discs.append((disc.center, disc.radius))
-            for pre in map_spec.preimages(q, _LIFT_WINDOW_RADIUS, 0.0):
-                r_pre = _certify_preimage_disc(map_spec, pre, disc)
-                if r_pre is not None:
-                    lift_discs.append((pre, r_pre))
-        base_surface: Surface = PlaneMinusDiscs(tuple(discs))
-        lift_surface: Surface = PlaneMinusDiscs(tuple(lift_discs))
-    else:
-        base_surface = Plane()
-        lift_surface = Plane()
+    # Both surfaces drop the absorbing discs of detected attracting basins.
+    holes: list[tuple[complex, float]] = []
+    lift_holes: list[tuple[complex, float]] = []
+    for q in sorted(trunc.attracting_cycle_points(), key=lambda z: (abs(z), z.real, z.imag)):
+        disc = find_absorbing_disc(map_spec, q)
+        holes.append((disc.center, disc.radius))
+        for pre in map_spec.preimages(q, _LIFT_WINDOW_RADIUS, 0.0):
+            r_pre = _certify_preimage_disc(map_spec, pre, disc)
+            if r_pre is not None:
+                lift_holes.append((pre, r_pre))
 
     complete = all(
         isinstance(rec.status, Preperiodic) for rec in trunc.records.values()
     ) if trunc.records else True
     base = MarkedOrbifold(
-        base_surface, tuple(base_marks), truncation_depth=depth, truncation_complete=complete
+        Surface(tuple(holes)),
+        tuple(base_marks),
+        truncation_depth=depth,
+        truncation_complete=complete,
     )
 
     # Lift marks from the stored nodes: nu(f(z)) / deg(f, z).
@@ -624,7 +646,10 @@ def build_associated_orbifold(
             add_lift_mark(z, nu_tilde)
 
     lift = MarkedOrbifold(
-        lift_surface, tuple(lift_marks), truncation_depth=depth, truncation_complete=complete
+        Surface(tuple(lift_holes)),
+        tuple(lift_marks),
+        truncation_depth=depth,
+        truncation_complete=complete,
     )
     return base, lift
 
@@ -733,29 +758,10 @@ def check_covering_relation(
     return CheckResult(passed=not witnesses, witnesses=witnesses)
 
 
-def _surface_included(inner: Surface, outer: Surface) -> bool:
-    if isinstance(outer, Plane):
-        return True
-    if isinstance(outer, PlaneMinusDiscs):
-        if not isinstance(inner, PlaneMinusDiscs):
-            return False
-        # every removed disc of the outer surface must be covered by a
-        # removed disc of the inner surface
-        return all(
-            any(abs(c - ci) + r <= ri + 1e-12 for ci, ri in inner.discs)
-            for c, r in outer.discs
-        )
-    if isinstance(outer, DiscSurface):
-        if isinstance(inner, DiscSurface):
-            return abs(inner.center - outer.center) + inner.radius <= outer.radius + 1e-12
-        return False
-    return False
-
-
 def check_holomorphic_inclusion(lift: MarkedOrbifold, base: MarkedOrbifold) -> CheckResult:
     """Surface containment plus divisibility nu(z) | nu_tilde(z) at base marks."""
     witnesses: list[str] = []
-    if not _surface_included(lift.surface, base.surface):
+    if not lift.surface.within(base.surface):
         witnesses.append("lift surface is not contained in the base surface")
     for p, nu in base.marks:
         if not lift.contains(p):
@@ -811,11 +817,12 @@ def boundary_set(
     """
     pts: list[complex] = []
     prov: list[str] = []
-    if base.marks == lift.marks and type(base.surface) is type(lift.surface):
-        if _surface_included(base.surface, lift.surface) and _surface_included(
-            lift.surface, base.surface
-        ):
-            return BoundarySet([], [], truncation_warning=False)
+    if (
+        base.marks == lift.marks
+        and base.surface.within(lift.surface)
+        and lift.surface.within(base.surface)
+    ):
+        return BoundarySet([], [], truncation_warning=False)
 
     def in_both(z: complex) -> bool:
         return base.contains(z) and lift.contains(z)
@@ -831,17 +838,17 @@ def boundary_set(
                     seen.add(key)
                     pts.append(z)
                     prov.append("extra_ramification")
-    if isinstance(lift.surface, PlaneMinusDiscs):
-        base_discs = base.surface.discs if isinstance(base.surface, PlaneMinusDiscs) else ()
-        for c, r in lift.surface.discs:
-            shared = any(abs(c - cb) <= _MATCH_TOL and abs(r - rb) <= 1e-12 for cb, rb in base_discs)
-            if shared:
-                continue  # coincides with the base boundary: infinite distance
-            for z in _circle(c, r, _CIRCLE_SAMPLES):
-                m = abs(z - window.center)
-                if window.r_min <= m <= window.r_max and base.contains(z):
-                    pts.append(z)
-                    prov.append("surface_boundary")
+    for c, r in lift.surface.holes:
+        shared = any(
+            abs(c - cb) <= _MATCH_TOL and abs(r - rb) <= 1e-12 for cb, rb in base.surface.holes
+        )
+        if shared:
+            continue  # coincides with the base boundary: infinite distance
+        for z in _circle(c, r, _CIRCLE_SAMPLES):
+            m = abs(z - window.center)
+            if window.r_min <= m <= window.r_max and base.contains(z):
+                pts.append(z)
+                prov.append("surface_boundary")
     # Preimages of marks deeper than the second-deepest stored orbit point
     # would already fall inside this window, so flag windows beyond it; a
     # complete truncation (every orbit closed up) has no missing marks.

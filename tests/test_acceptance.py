@@ -40,8 +40,8 @@ from hyporb.homotopy import (
 )
 from hyporb.maps import postsingular_truncation
 from hyporb.orbifolds import (
-    DiscSurface,
     MarkedOrbifold,
+    Surface,
     Window,
     boundary_set,
     build_associated_orbifold,
@@ -145,7 +145,7 @@ def test_criterion_05_cosh_separation(cosh_map):
 
 def test_criterion_06_cone_distance_convergence():
     t0 = time.monotonic()
-    orb = MarkedOrbifold(DiscSurface(0j, 1.0), ((0j, 2),))
+    orb = MarkedOrbifold(Surface(outer=(0j, 1.0)), ((0j, 2),))
     curve = PolylineCurve([1e-9 + 0j, 0.25 + 0j])
     v4 = certified_curve_length(orb, curve, refinement=1e-4)
     v5 = certified_curve_length(orb, curve, refinement=1e-5)
@@ -177,8 +177,8 @@ def test_criterion_07_expansion_certificates(cosh_map, cosh_pair):
         min_lambda = min(min_lambda, cert.lambda_bar)
         ok = ok and math.isfinite(cert.R_bar) and cert.lambda_bar > 1.0
 
-    synth_base = MarkedOrbifold(DiscSurface(0j, 1.0), ())
-    synth_lift = MarkedOrbifold(DiscSurface(0j, 1.0), ((0j, 2),))
+    synth_base = MarkedOrbifold(Surface(outer=(0j, 1.0)), ())
+    synth_lift = MarkedOrbifold(Surface(outer=(0j, 1.0)), ((0j, 2),))
     synth = expansion_certificate(
         (synth_base, synth_lift), 0.5 + 0j, BoundarySet([0j], ["extra_ramification"])
     )
@@ -238,7 +238,7 @@ def test_criterion_10_homotopy_representatives():
     worst = 0.0
     for d in (2, 3, 6):
         ep = epsilon_prime(eps, d)
-        orb = MarkedOrbifold(DiscSurface(0j, eps), ((0j, d),))
+        orb = MarkedOrbifold(Surface(outer=(0j, eps)), ((0j, d),))
         p = 0.8 * ep * cmath.exp(0.3j)
         q = 0.6 * ep * cmath.exp(-1.1j)
         w0 = winding_class(build_representative(p, q, 0, 1, eps, d), 0j)

@@ -20,9 +20,8 @@ from hyporb.curves import PolylineCurve
 from hyporb.errors import DomainError, PathBlocked
 from hyporb.models import ConeDisc, density
 from hyporb.orbifolds import (
-    DiscSurface,
     MarkedOrbifold,
-    Plane,
+    Surface,
     Window,
     boundary_set,
 )
@@ -34,7 +33,7 @@ PUNCT_HALF = 1.0820212806667226
 
 @pytest.fixture(scope="module")
 def cone_orb():
-    return MarkedOrbifold(DiscSurface(0j, 1.0), ((0j, 2),))
+    return MarkedOrbifold(Surface(outer=(0j, 1.0)), ((0j, 2),))
 
 
 def test_upper_density_bound_cone_model(cone_orb):
@@ -46,7 +45,7 @@ def test_upper_density_bound_cone_model(cone_orb):
 
 
 def test_upper_density_bound_clean_disc():
-    orb = MarkedOrbifold(DiscSurface(0j, 8.0), ((4.0 + 0j, 2),))
+    orb = MarkedOrbifold(Surface(outer=(0j, 8.0)), ((4.0 + 0j, 2),))
     db = upper_density_bound(orb, 0j)
     assert isinstance(db.witness, CleanDisc)
     assert abs(db.upper - 0.5) < 1e-12
@@ -59,7 +58,7 @@ def test_upper_density_bound_at_mark_rejected(cone_orb):
 
 def test_certified_length_constant_region():
     # straight segment far from the single mark: bound ~ 2 L / delta
-    orb = MarkedOrbifold(DiscSurface(0j, 100.0), ((40.0 + 0j, 2),))
+    orb = MarkedOrbifold(Surface(outer=(0j, 100.0)), ((40.0 + 0j, 2),))
     curve = PolylineCurve([0j, 0.5 + 0j])
     val = certified_curve_length(orb, curve, refinement=1e-3)
     assert 2.0 * 0.5 / 40.0 <= val <= 1.05 * (2.0 * 0.5 / 39.5)
@@ -88,8 +87,8 @@ def test_certified_length_rejects_mark_touch(cone_orb):
 
 
 def test_expansion_certificate_sharp_case():
-    base = MarkedOrbifold(DiscSurface(0j, 1.0), ())
-    lift = MarkedOrbifold(DiscSurface(0j, 1.0), ((0j, 2),))
+    base = MarkedOrbifold(Surface(outer=(0j, 1.0)), ())
+    lift = MarkedOrbifold(Surface(outer=(0j, 1.0)), ((0j, 2),))
     supply = BoundarySet(points=[0j], provenance=["extra_ramification"])
     cert = expansion_certificate((base, lift), 0.5 + 0j, supply)
     assert abs(cert.R_bar - LOG3) < 1e-12
@@ -100,15 +99,15 @@ def test_expansion_certificate_sharp_case():
 
 
 def test_expansion_certificate_requires_boundary():
-    base = MarkedOrbifold(DiscSurface(0j, 1.0), ())
-    lift = MarkedOrbifold(DiscSurface(0j, 1.0), ((0j, 2),))
+    base = MarkedOrbifold(Surface(outer=(0j, 1.0)), ())
+    lift = MarkedOrbifold(Surface(outer=(0j, 1.0)), ((0j, 2),))
     with pytest.raises(PathBlocked):
         expansion_certificate((base, lift), 0.5 + 0j, BoundarySet([], []))
 
 
 def test_expansion_certificate_monotone_in_distance():
-    base = MarkedOrbifold(DiscSurface(0j, 1.0), ())
-    lift = MarkedOrbifold(DiscSurface(0j, 1.0), ((0j, 2),))
+    base = MarkedOrbifold(Surface(outer=(0j, 1.0)), ())
+    lift = MarkedOrbifold(Surface(outer=(0j, 1.0)), ((0j, 2),))
     supply = BoundarySet(points=[0j], provenance=["extra_ramification"])
     c1 = expansion_certificate((base, lift), 0.3 + 0j, supply)
     c2 = expansion_certificate((base, lift), 0.6 + 0j, supply)

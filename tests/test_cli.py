@@ -100,7 +100,7 @@ def test_basin_discs_are_the_removed_discs_of_the_orbifold(tmp_path, map_name, c
     payload = json.loads((tmp_path / "basin.json").read_text())
     basin = [d["center"] for d in payload["absorbing_discs"]]
     base, _ = build_associated_orbifold(get_map(map_name), cfg.depth, cfg.escape_radius)
-    removed = getattr(base.surface, "discs", ())
+    removed = base.surface.holes
     assert basin == [[f12(c.real), f12(c.imag)] for c, _ in removed] == centers
 
 
@@ -129,6 +129,40 @@ def test_orbifold_artifacts(tmp_path):
 def test_json_float_formatting():
     assert f12(1.23456789012345678) == 1.23456789012
     assert f12(float("inf")) == float("inf")
+
+
+def _floats(data):
+    if isinstance(data, float):
+        yield data
+    elif isinstance(data, dict):
+        for v in data.values():
+            yield from _floats(v)
+    elif isinstance(data, list):
+        for v in data:
+            yield from _floats(v)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["bounds", "--set", "w_points=50", "--set", "k_max=4"],
+        ["homotopy", "--set", "homotopy_n_max=1"],
+        ["orbifold"],
+        ["separation"],
+        ["expansion", "--set", "sample_count=3", "--set", "samples_per_scale=3",
+         "--set", "scale_min_exp=6", "--set", "scale_max_exp=6"],
+        ["pullback", "--set", "pullback_kmax=3"],
+        ["basin"],
+    ],
+    ids=lambda args: args[0],
+)
+def test_every_json_float_has_12_digits(tmp_path, args):
+    # cosh_minus_one has removed discs, so every kind of float field is written
+    assert run(args + ["--map", "cosh_minus_one", "--output", str(tmp_path)]) == 0
+    payload = json.loads((tmp_path / f"{args[0]}.json").read_text())
+    floats = list(_floats(payload))
+    assert floats
+    assert all(repr(f12(x)) == repr(x) for x in floats)
 
 
 def test_format_selection(tmp_path):

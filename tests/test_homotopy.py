@@ -16,7 +16,7 @@ from hyporb.homotopy import (
     winding_class,
 )
 from hyporb.models import cone_circle_length, cone_radial_length
-from hyporb.orbifolds import DiscSurface, MarkedOrbifold
+from hyporb.orbifolds import MarkedOrbifold, Surface
 
 
 def _circle(radius=1.0, steps=360, clockwise=False, start=0.0):
@@ -64,7 +64,7 @@ def test_representative_lengths_and_classes():
     eps = 1.0
     for d in (2, 3):
         ep = epsilon_prime(eps, d)
-        orb = MarkedOrbifold(DiscSurface(0j, eps), ((0j, d),))
+        orb = MarkedOrbifold(Surface(outer=(0j, eps)), ((0j, d),))
         p = 0.8 * ep * cmath.exp(0.3j)
         q = 0.6 * ep * cmath.exp(-1.1j)
         direct = build_representative(p, q, 0, 1, eps, d)
@@ -80,7 +80,7 @@ def test_representative_lengths_and_classes():
 def test_representative_degenerate_same_ray():
     eps, d = 1.0, 2
     ep = epsilon_prime(eps, d)
-    orb = MarkedOrbifold(DiscSurface(0j, eps), ((0j, d),))
+    orb = MarkedOrbifold(Surface(outer=(0j, eps)), ((0j, d),))
     p = 0.7 * ep + 0j
     rep = build_representative(p, p, 0, 1, eps, d)
     length = certified_curve_length(orb, rep, refinement=eps, mark_margin=0.0)

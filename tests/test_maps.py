@@ -11,16 +11,20 @@ import numpy as np
 import pytest
 
 from hyporb.curves import PolylineCurve, polyline_point_distance
-from hyporb.errors import BranchBreak, DomainError, NearCritical, Overflow
+from hyporb.errors import BranchBreak, DomainError, NearCritical, NotFound, Overflow
 from hyporb.maps import (
+    EntireMapSpec,
     Escaped,
+    OrbitRecord,
     Preperiodic,
+    TruncatedPostsingular,
     Undetermined,
     evaluate,
     get_map,
     inverse_step,
     iterate_orbit,
     local_degree,
+    nearest_preimage,
     orbit_degree_product,
     postsingular_truncation,
     pullback_curve,
@@ -210,3 +214,30 @@ def test_iterate_orbit_validation(cosh_map):
         iterate_orbit(cosh_map, 1.0, 0)
     with pytest.raises(DomainError):
         iterate_orbit(cosh_map, 1.0, 5, escape_radius=0.5)
+
+
+def test_attracting_cycle_points_are_listed_once():
+    # two attracting orbits fall into the same 2-cycle {a, b} at different phases,
+    # the second one 1e-12 off; a repelling orbit through b adds nothing
+    a, b = 0.25 + 0.5j, -0.75 + 0j
+    records = {
+        1.0: OrbitRecord(1.0, [1.0, a, b], Preperiodic(1, 2), attracting=True),
+        2.0: OrbitRecord(2.0, [2.0, b + 1e-12, a], Preperiodic(1, 2), attracting=True),
+        3.0: OrbitRecord(3.0, [3.0, b, 7.0], Preperiodic(1, 2), attracting=False),
+    }
+    trunc = TruncatedPostsingular("stub", 3, 1e6, [], records)
+    assert trunc.attracting_cycle_points() == [a, b]
+
+
+def test_nearest_preimage(pi_sinh_map):
+    a = 5.5 + 0.5j
+    z = nearest_preimage(pi_sinh_map, a)
+    assert abs(evaluate(pi_sinh_map, z) - a) < 1e-9
+    assert all(abs(z - a) <= abs(p - a) for p in pi_sinh_map.preimages(a, abs(a) + 12.0, 0.0))
+    stub = EntireMapSpec(
+        name="none", eval=lambda z: z, deriv=lambda z: 1 + 0j, deriv2=lambda z: 0j,
+        critical_values=(), critical_value_witnesses=(), asymptotic_values=(),
+        critical_points_in_disc=lambda c, r: [], preimages=lambda v, r_max, r_min: [],
+    )
+    with pytest.raises(NotFound):
+        nearest_preimage(stub, 1.0 + 0j)

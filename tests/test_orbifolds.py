@@ -11,10 +11,8 @@ from hyporb.errors import CycleCollision, DomainError, EmptyInput, NotFound
 from hyporb.maps import EntireMapSpec, get_map, postsingular_truncation
 from hyporb.orbifolds import (
     AbsorbingDisc,
-    DiscSurface,
     MarkedOrbifold,
-    Plane,
-    PlaneMinusDiscs,
+    Surface,
     Window,
     annulus_count,
     boundary_set,
@@ -63,7 +61,7 @@ def test_build_trivial_map_marks_only_cycle():
     stub = _linear_half_map()
     cycle = [4.0 + 0j]
     base, lift = build_associated_orbifold(stub, depth=4, cycle=cycle)
-    assert isinstance(base.surface, Plane)
+    assert base.surface == Surface()
     assert base.marks == ((4.0 + 0j, 2),)
     assert base.ramification(1.0) == 1
     # the preimage 8 of the cycle point carries the quotient ramification
@@ -231,10 +229,10 @@ def test_find_repelling_cycle_examples(cosh_map, pi_sinh_map, cosh_minus_one_map
 
 def test_cosh_minus_one_surface(cosh_minus_one_pair):
     base, lift = cosh_minus_one_pair
-    assert isinstance(base.surface, PlaneMinusDiscs)
-    assert any(abs(c) < 1e-9 and r == 0.5 for c, r in base.surface.discs)
-    assert isinstance(lift.surface, PlaneMinusDiscs)
-    assert len(lift.surface.discs) > 1
+    assert base.surface.outer is None
+    assert any(abs(c) < 1e-9 and r == 0.5 for c, r in base.surface.holes)
+    assert lift.surface.outer is None
+    assert len(lift.surface.holes) > 1
     # boundary sampling of the lift discs that are interior to the base surface
     bset = boundary_set(
         get_map("cosh_minus_one"), lift, base, Window(r_max=10.0, r_min=0.1)
@@ -249,15 +247,58 @@ def test_orbifold_json_round_trip(cosh_pair, cosh_minus_one_pair):
             back = MarkedOrbifold.from_json(data)
             assert back.marks == orb.marks
             assert back.truncation_depth == orb.truncation_depth
-            assert type(back.surface) is type(orb.surface)
+            assert back.surface == orb.surface
 
 
 def test_marked_orbifold_validation():
     with pytest.raises(DomainError):
-        MarkedOrbifold(Plane(), ((0j, 1),))
+        MarkedOrbifold(Surface(), ((0j, 1),))
     with pytest.raises(DomainError):
-        MarkedOrbifold(Plane(), ((0j, 2), (1e-12 + 0j, 2)))
+        MarkedOrbifold(Surface(), ((0j, 2), (1e-12 + 0j, 2)))
     with pytest.raises(DomainError):
-        MarkedOrbifold(PlaneMinusDiscs(((0j, 1.0),)), ((0.5 + 0j, 2),))
+        MarkedOrbifold(Surface(holes=((0j, 1.0),)), ((0.5 + 0j, 2),))
     with pytest.raises(DomainError):
-        MarkedOrbifold(DiscSurface(0j, 1.0), ((2.0 + 0j, 2),))
+        MarkedOrbifold(Surface(outer=(0j, 1.0)), ((2.0 + 0j, 2),))
+
+
+@pytest.mark.parametrize(
+    "surface",
+    [
+        {"kind": "disc", "discs": []},
+        {"kind": "disc", "discs": [[0.0, 0.0, 1.0], [3.0, 0.0, 1.0]]},
+        {"kind": "plane", "discs": [[0.0, 0.0, 1.0]]},
+        {"kind": "annulus", "discs": []},
+    ],
+    ids=["disc-without-disc", "disc-with-two-discs", "plane-with-disc", "unknown-kind"],
+)
+def test_malformed_surface_json_is_domain_error(surface):
+    data = {"surface": surface, "marks": [], "truncation_depth": 0}
+    with pytest.raises(DomainError):
+        MarkedOrbifold.from_json(data)
+
+
+def test_surface_json_kinds():
+    holes = ((0j, 0.5), (3.0 + 1.0j, 0.25))
+    for surface, kind in (
+        (Surface(), "plane"),
+        (Surface(holes=holes), "plane_minus_discs"),
+        (Surface(outer=(1j, 2.0)), "disc"),
+    ):
+        data = surface.to_json()
+        assert data["kind"] == kind
+        assert Surface.from_json(data) == surface
+    # the format has no kind for a disc with holes
+    with pytest.raises(DomainError):
+        Surface(holes=holes, outer=(0j, 9.0)).to_json()
+
+
+def test_surface_within():
+    plane = Surface()
+    minus = Surface(holes=((0j, 0.5),))
+    disc = Surface(outer=(0j, 2.0))
+    assert minus.within(plane) and disc.within(plane) and plane.within(plane)
+    assert not plane.within(minus) and not plane.within(disc) and not disc.within(minus)
+    assert Surface(holes=((0j, 0.6), (5.0 + 0j, 1.0))).within(minus)
+    assert not Surface(holes=((0.2 + 0j, 0.5),)).within(minus)
+    assert Surface(outer=(0.5 + 0j, 1.5)).within(disc)
+    assert not Surface(outer=(0.6 + 0j, 1.5)).within(disc)

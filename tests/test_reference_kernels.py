@@ -13,14 +13,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyporb.certify import (
-    _boundary_min_dist,
     _nearest_first,
     certified_curve_length,
 )
 from hyporb.curves import PolylineCurve, polyline_point_distance, segment_point_distances
 from hyporb.errors import DomainError
 from hyporb.maps import _dedup
-from hyporb.orbifolds import DiscSurface, MarkedOrbifold, Plane, PlaneMinusDiscs
+from hyporb.orbifolds import MarkedOrbifold, Surface
 
 # ---------------------------------------------------------------------------
 # Reference implementations
@@ -37,7 +36,7 @@ def dedup_reference(points, tol=1e-9):
 
 def isolation_radius_reference(orb, index):
     p, _ = orb.marks[index]
-    dist = orb.boundary_distance(p)
+    dist = orb.surface.boundary_distance(p)
     for j, (q, _) in enumerate(orb.marks):
         if j != index:
             dist = min(dist, abs(p - q))
@@ -68,7 +67,7 @@ def curve_length_reference(orb, curve, refinement=1e-3, mark_margin=1e-9, max_ro
     iso = np.where(np.isfinite(iso), iso, 0.0)
 
     def piece_bounds(a_, b_):
-        bdy = _boundary_min_dist(orb, a_, b_)
+        bdy = orb.surface.segment_boundary_distances(a_, b_)
         if np.any(bdy < mark_margin) or np.any(bdy <= 0):
             raise DomainError("curve touches the surface boundary")
         if marks.size:
@@ -216,9 +215,9 @@ def _random_polyline(rng, orb):
 
 
 _SURFACES = {
-    "plane": Plane(),
-    "disc": DiscSurface(0.3 + 0.1j, 4.0),
-    "minus_discs": PlaneMinusDiscs(((3.5 + 0j, 0.8), (-1.0 + 3.6j, 0.5))),
+    "plane": Surface(),
+    "disc": Surface(outer=(0.3 + 0.1j, 4.0)),
+    "minus_discs": Surface(holes=((3.5 + 0j, 0.8), (-1.0 + 3.6j, 0.5))),
 }
 
 
@@ -263,7 +262,7 @@ def test_certified_length_matches_per_mark_loop(surface):
 
 def test_certified_length_matches_per_mark_loop_when_rounds_run_out():
     rng = np.random.default_rng(11)
-    orb = _random_orbifold(rng, Plane())
+    orb = _random_orbifold(rng, Surface())
     for _ in range(6):
         curve = _random_polyline(rng, orb)
         _same_length_or_same_error(orb, curve, refinement=0.01, max_rounds=4)
@@ -273,7 +272,7 @@ def test_certified_length_straddling_isolation_radius():
     # orders 2, 3, 4 and 6; each segment runs from deep inside one mark's
     # isolation disc to well outside it
     orb = MarkedOrbifold(
-        DiscSurface(0j, 10.0),
+        Surface(outer=(0j, 10.0)),
         ((0j, 2), (2.0 + 0j, 3), (0.5 + 2.0j, 4), (-1.5 - 1.0j, 6)),
     )
     for i, (p, _) in enumerate(orb.marks):
