@@ -31,7 +31,7 @@ from .certify import (
     spearman_rank_correlation,
 )
 from .curves import PolylineCurve
-from .errors import HyporbError, UsageError
+from .errors import UsageError
 from .homotopy import build_representative, epsilon_prime, relative_winding, winding_class
 from .maps import get_map, nearest_preimage, postsingular_truncation
 from .orbifolds import (
@@ -97,6 +97,8 @@ class RunConfig:
             raise UsageError(
                 f"config key w_points must be <= {bnd.MAX_W_POINTS} (the grid w = 0.001*j stays below 1)"
             )
+        if self.scale_min_exp > self.scale_max_exp:
+            raise UsageError("config key scale_min_exp must not exceed scale_max_exp")
         if self.format not in ("json", "csv", "both"):
             raise UsageError("config key format must be json, csv or both")
         try:
@@ -137,8 +139,6 @@ def load_config(path: str | None) -> RunConfig:
 def _coerce(key: str, value: str):
     current = getattr(RunConfig(), key)
     try:
-        if isinstance(current, bool):
-            return value.lower() in ("1", "true", "yes")
         if isinstance(current, int):
             return int(value)
         if isinstance(current, float):
@@ -499,9 +499,6 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 64
-    except HyporbError as exc:
-        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 70
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 70

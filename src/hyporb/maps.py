@@ -11,14 +11,14 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterable
 
 from .curves import PolylineCurve
 from .errors import BranchBreak, DomainError, NearCritical, NoConvergence, NotFound, Overflow
 
 _TWO_PI = 2.0 * math.pi
-# Points of the truncated postsingular set closer than this are one point.
-_POSTSINGULAR_DEDUP_TOL = 1e-9
+# Two computed points (orbit points, preimages, marks) at most this far apart are one point.
+SAME_POINT_TOL = 1e-9
 # Iteration budget of the damped Newton solve in ``inverse_step``.
 _NEWTON_MAX_ITER = 80
 # ``inverse_step`` gives up (NearCritical) where |f'| falls below this.
@@ -64,29 +64,48 @@ def _in_annulus(z: complex, r_max: float, r_min: float) -> bool:
     return r_min - 1e-9 <= m <= r_max + 1e-9
 
 
-def _dedup(points: list[complex], tol: float = 1e-9) -> list[complex]:
-    """Drop each point within ``tol`` of an earlier kept point; order is kept.
+class PointSet:
+    """The same-point rule: kept points, in order, each more than ``tol`` from the earlier ones.
 
-    Kept points are hashed into square cells of side 2*tol, so a point within
-    tol of a kept one finds it among the 3x3 cells around its own.  With that
-    side, rounding in ``x / cell`` never moves two such points two cells apart,
-    at any magnitude (a cell of side tol would allow it).
+    ``find(z)`` is the index of the earliest kept point within ``tol`` of ``z``
+    (or None); ``add(z)`` keeps ``z`` when there is none, and returns its index.
+    Kept points are hashed into cells of side 2*tol, so a match lies in the 3x3
+    cells around ``z``: rounding in ``x / cell`` never moves two points within
+    tol two cells apart, at any magnitude (a cell of side tol would allow it).
     """
-    cell = 2.0 * tol
-    grid: dict[tuple[int, int], list[complex]] = {}
-    out: list[complex] = []
-    for p in points:
-        i, j = math.floor(p.real / cell), math.floor(p.imag / cell)
-        near = (
-            q
-            for di in (-1, 0, 1)
-            for dj in (-1, 0, 1)
-            for q in grid.get((i + di, j + dj), ())
-        )
-        if all(abs(p - q) > tol for q in near):
-            out.append(p)
-            grid.setdefault((i, j), []).append(p)
-    return out
+
+    def __init__(self, points: Iterable[complex] = (), tol: float = SAME_POINT_TOL):
+        self.tol = tol
+        self.points: list[complex] = []
+        self._cell = 2.0 * tol
+        self._grid: dict[tuple[int, int], list[int]] = {}
+        add = self.add
+        for z in points:
+            add(z)
+
+    def _scan(self, z: complex) -> tuple[int | None, tuple[int, int]]:
+        # plain loops over local names: a comprehension measured 20% slower
+        cell = self._cell
+        i, j = math.floor(z.real / cell), math.floor(z.imag / cell)
+        get, pts, tol = self._grid.get, self.points, self.tol
+        best = None
+        for di in (-1, 0, 1):
+            for dj in (-1, 0, 1):
+                for k in get((i + di, j + dj), ()):
+                    if abs(z - pts[k]) <= tol and (best is None or k < best):
+                        best = k
+        return best, (i, j)
+
+    def find(self, z: complex) -> int | None:
+        return self._scan(z)[0]
+
+    def add(self, z: complex) -> int:
+        k, key = self._scan(z)
+        if k is None:
+            k = len(self.points)
+            self.points.append(z)
+            self._grid.setdefault(key, []).append(k)
+        return k
 
 
 def _safe_acosh(w: complex) -> complex:
@@ -117,7 +136,7 @@ def _lattice_preimages(bases: tuple[complex, ...], r_max: float, r_min: float) -
             z = base + _TWO_PI * 1j * k
             if _in_annulus(z, r_max, r_min):
                 pts.append(z)
-    pts = _dedup(pts)
+    pts = PointSet(pts).points
     pts.sort(key=lambda z: (abs(z), z.real, z.imag))
     return pts
 
@@ -279,11 +298,10 @@ def iterate_orbit(
     seed: complex,
     depth: int,
     escape_radius: float = 1e6,
-    cycle_tol: float = 1e-9,
 ) -> OrbitRecord:
     """Iterate f from ``seed`` until escape, a revisit, or ``depth`` steps.
 
-    A revisit within ``cycle_tol`` of an earlier point yields ``Preperiodic``;
+    A return within ``SAME_POINT_TOL`` of an earlier point yields ``Preperiodic``;
     a modulus above ``escape_radius`` (or an overflow) yields ``Escaped``.
     The first point beyond the escape radius is stored when representable.
     The cycle attracts when its multiplier has modulus below 1 - 1e-9.
@@ -292,9 +310,8 @@ def iterate_orbit(
         raise DomainError("depth must be >= 1")
     if escape_radius <= 1:
         raise DomainError("escape_radius must exceed 1")
-    if cycle_tol <= 0:
-        raise DomainError("cycle_tol must be positive")
     pts = [complex(seed)]
+    seen = PointSet(pts)
     status: OrbitStatus | None = None
     for step in range(1, depth + 1):
         if abs(pts[-1]) > escape_radius:
@@ -305,12 +322,10 @@ def iterate_orbit(
         except Overflow:
             status = Escaped(step)
             break
-        hit = next(
-            (j for j, p in enumerate(pts) if abs(nxt - p) <= cycle_tol),
-            None,
-        )
+        # the points so far are all kept, so an index below ``step`` is a revisit
+        hit = seen.add(nxt)
         pts.append(nxt)
-        if hit is not None:
+        if hit < step:
             status = Preperiodic(hit, step - hit)
             break
         if abs(nxt) > escape_radius:
@@ -329,17 +344,13 @@ def iterate_orbit(
 class PostsingularPoint:
     point: complex
     fatou_candidate: bool
-    source_value: complex
-    orbit_index: int
 
 
 @dataclass
 class TruncatedPostsingular:
     """Truncated postsingular set with per-point Fatou/Julia tags."""
 
-    map_name: str
     depth: int
-    escape_radius: float
     points: list[PostsingularPoint]
     records: dict[complex, OrbitRecord]
 
@@ -351,9 +362,9 @@ class TruncatedPostsingular:
 
     def attracting_cycle_points(self) -> list[complex]:
         """Points of the attracting cycles of the stored orbits, de-duplicated, in record order."""
-        return _dedup(
-            [q for rec in self.records.values() if rec.attracting for q in rec.cycle_points()]
-        )
+        return PointSet(
+            q for rec in self.records.values() if rec.attracting for q in rec.cycle_points()
+        ).points
 
 
 def postsingular_truncation(
@@ -363,34 +374,21 @@ def postsingular_truncation(
 ) -> TruncatedPostsingular:
     """Union of the truncated forward orbits of all singular values.
 
-    Points are de-duplicated with ``_POSTSINGULAR_DEDUP_TOL`` and tagged as Fatou
+    Points are de-duplicated by ``PointSet`` and tagged as Fatou
     candidates when their source orbit falls into a detected attracting
     cycle, Julia candidates otherwise.
     """
     singular = sorted(map_spec.singular_values(), key=lambda v: (v.real, v.imag))
     entries: list[PostsingularPoint] = []
     records: dict[complex, OrbitRecord] = {}
+    seen = PointSet()
     for value in singular:
         rec = iterate_orbit(map_spec, value, depth, escape_radius)
         records[value] = rec
-        for idx, p in enumerate(rec.points):
-            if any(abs(p - e.point) <= _POSTSINGULAR_DEDUP_TOL for e in entries):
-                continue
-            entries.append(
-                PostsingularPoint(
-                    point=p,
-                    fatou_candidate=rec.attracting,
-                    source_value=value,
-                    orbit_index=idx,
-                )
-            )
-    return TruncatedPostsingular(
-        map_name=map_spec.name,
-        depth=depth,
-        escape_radius=escape_radius,
-        points=entries,
-        records=records,
-    )
+        for p in rec.points:
+            if seen.add(p) == len(entries):  # a new point
+                entries.append(PostsingularPoint(point=p, fatou_candidate=rec.attracting))
+    return TruncatedPostsingular(depth=depth, points=entries, records=records)
 
 
 def inverse_step(

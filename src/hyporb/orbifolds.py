@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import gcd
@@ -29,7 +30,9 @@ from .errors import (
     Overflow,
 )
 from .maps import (
+    SAME_POINT_TOL,
     EntireMapSpec,
+    PointSet,
     Preperiodic,
     TruncatedPostsingular,
     cycle_multiplier,
@@ -38,7 +41,6 @@ from .maps import (
     postsingular_truncation,
 )
 
-_MATCH_TOL = 1e-9
 # Side of the square seed grid that ``find_repelling_cycle`` runs Newton from.
 _SEED_GRID = 12
 # Accepted repelling cycles keep at least this distance from excluded points.
@@ -142,7 +144,7 @@ class Surface:
     @staticmethod
     def from_json(data: dict) -> "Surface":
         kind = data["kind"]
-        discs = tuple((complex(d[0], d[1]), float(d[2])) for d in data["discs"])
+        discs = tuple(_disc_from_json(d) for d in data["discs"])
         if kind == "plane" and not discs:
             return Surface()
         if kind == "plane_minus_discs":
@@ -152,12 +154,23 @@ class Surface:
         raise DomainError(f"malformed surface: kind {kind!r} with {len(discs)} disc(s)")
 
 
+def _disc_from_json(entry) -> tuple[complex, float]:
+    """``[re, im, radius]``: three finite non-boolean numbers with radius > 0, else DomainError."""
+    try:
+        re, im, r = (float(v) if type(v) in (int, float) else math.nan for v in entry)
+    except (TypeError, ValueError, OverflowError):
+        re = im = r = math.nan
+    if not (all(map(math.isfinite, (re, im, r))) and r > 0):
+        raise DomainError(f"malformed disc {entry!r}: need [re, im, radius] with radius > 0")
+    return complex(re, im), r
+
+
 @dataclass(frozen=True)
 class MarkedOrbifold:
     """Planar surface descriptor plus finitely many marked points.
 
     ``marks`` maps points to ramification values >= 2; marks are pairwise
-    separated by at least 1e-9 and lie in the surface.
+    more than ``SAME_POINT_TOL`` apart and lie in the surface.
     ``truncation_complete`` records that every source orbit closed up within
     the truncation (no escaping orbit), so no marks are missing.
 
@@ -171,12 +184,11 @@ class MarkedOrbifold:
     truncation_complete: bool = False
 
     def __post_init__(self):
-        pts = [p for p, _ in self.marks]
-        for i, p in enumerate(pts):
-            for q in pts[i + 1 :]:
-                if abs(p - q) < _MATCH_TOL:
-                    raise DomainError(f"marks too close: {p!r}, {q!r}")
-        for p, nu in self.marks:
+        seen = PointSet()
+        for i, (p, nu) in enumerate(self.marks):
+            k = seen.add(p)
+            if k < i:
+                raise DomainError(f"marks too close: {seen.points[k]!r}, {p!r}")
             if nu < 2:
                 raise DomainError("ramification values must be >= 2")
             if not self.contains(p):
@@ -185,9 +197,11 @@ class MarkedOrbifold:
     def contains(self, z: complex) -> bool:
         return self.surface.contains(z)
 
-    def ramification(self, z: complex, tol: float = _MATCH_TOL) -> int:
+    def ramification(self, z: complex) -> int:
+        # a plain scan: most calls look at a base orbifold's 6-8 marks, where a
+        # PointSet probe measured 3-4 us against 1.3 us for the scan
         for p, nu in self.marks:
-            if abs(z - p) <= tol:
+            if abs(z - p) <= SAME_POINT_TOL:
                 return nu
         return 1
 
@@ -296,7 +310,8 @@ def annulus_count(points: list[complex], K: float) -> int:
     for r in candidates:
         if r <= 0:
             continue
-        count = sum(1 for m in moduli if r * (1 - 1e-12) <= m <= K * r * (1 + 1e-12))
+        # moduli in [r (1 - 1e-12), K r (1 + 1e-12)], both ends included
+        count = bisect_right(moduli, K * r * (1 + 1e-12)) - bisect_left(moduli, r * (1 - 1e-12))
         best = max(best, count)
     return best
 
@@ -480,26 +495,21 @@ def _build_orbit_graph(
     map_spec: EntireMapSpec,
     trunc: TruncatedPostsingular,
     cycle: list[complex],
-) -> list[_GraphNode]:
+) -> tuple[list[_GraphNode], PointSet]:
     """Orbit graph over Julia-candidate orbits, their critical witnesses, and the cycle.
 
     Fatou-candidate orbits are excluded: they live inside removed discs and a
-    critical attracting cycle would feed an unbounded degree product.
+    critical attracting cycle would feed an unbounded degree product.  The
+    returned ``PointSet`` holds the node points, in node order.
     """
     nodes: list[_GraphNode] = []
-
-    def find(z: complex) -> int | None:
-        for i, n in enumerate(nodes):
-            if abs(n.point - z) <= _MATCH_TOL:
-                return i
-        return None
+    points = PointSet()
 
     def add(z: complex) -> int:
-        i = find(z)
-        if i is not None:
-            return i
-        nodes.append(_GraphNode(point=z, degree=local_degree(map_spec, z), image=None))
-        return len(nodes) - 1
+        i = points.add(z)
+        if i == len(nodes):
+            nodes.append(_GraphNode(point=z, degree=local_degree(map_spec, z), image=None))
+        return i
 
     julia_values = {value for value, rec in trunc.records.items() if not rec.attracting}
     for value, rec in trunc.records.items():
@@ -512,13 +522,13 @@ def _build_orbit_graph(
         if v not in julia_values:
             continue
         ci = add(c)
-        vi = find(v)
+        vi = points.find(v)
         if vi is not None:
             nodes[ci].image = vi
     cyc_idx = [add(p) for p in cycle]
     for j, a in enumerate(cyc_idx):
         nodes[a].image = cyc_idx[(j + 1) % len(cyc_idx)]
-    return nodes
+    return nodes, points
 
 
 def _chain_lcm(nodes: list[_GraphNode]) -> list[int]:
@@ -566,26 +576,21 @@ def build_associated_orbifold(
     if depth < 1:
         raise DomainError("depth must be >= 1")
     trunc = postsingular_truncation(map_spec, depth, escape_radius)
-    julia_pts = trunc.julia_points()
     if cycle is None:
         cycle = find_repelling_cycle(map_spec, 1, exclude=[p.point for p in trunc.points])
-    for b in cycle:
-        if any(abs(b - p) <= _MATCH_TOL for p in julia_pts):
+
+    nodes, points = _build_orbit_graph(map_spec, trunc, cycle)
+    # every Julia-candidate point and every cycle point is a node
+    julia = {points.find(p) for p in trunc.julia_points()}
+    cyc_idx = [points.find(b) for b in cycle]
+    for b, i in zip(cycle, cyc_idx):
+        if i in julia:
             raise CycleCollision(f"cycle point {b!r} meets the truncated postsingular set")
-
-    nodes = _build_orbit_graph(map_spec, trunc, cycle)
     D = _chain_lcm(nodes)
-
-    def is_cycle(z: complex) -> bool:
-        return any(abs(z - b) <= _MATCH_TOL for b in cycle)
-
-    julia = set()
-    for p in julia_pts:
-        julia.add(min(range(len(nodes)), key=lambda i: abs(nodes[i].point - p)))
 
     base_marks: list[tuple[complex, int]] = []
     for i, node in enumerate(nodes):
-        if is_cycle(node.point):
+        if i in cyc_idx:
             base_marks.append((node.point, 2))
         elif i in julia and D[i] > 1:
             base_marks.append((node.point, D[i]))
@@ -613,9 +618,10 @@ def build_associated_orbifold(
 
     # Lift marks from the stored nodes: nu(f(z)) / deg(f, z).
     lift_marks: list[tuple[complex, int]] = []
+    lift_points = PointSet()
 
     def add_lift_mark(z: complex, nu_tilde: int) -> None:
-        if nu_tilde > 1 and all(abs(z - q) > _MATCH_TOL for q, _ in lift_marks):
+        if nu_tilde > 1 and lift_points.add(z) == len(lift_marks):  # a new point
             lift_marks.append((z, nu_tilde))
 
     for i, node in enumerate(nodes):
@@ -783,7 +789,6 @@ class Window:
 
     r_max: float
     r_min: float = 0.0
-    center: complex = 0j
 
     def __post_init__(self):
         if self.r_max <= self.r_min or self.r_max <= 0:
@@ -827,25 +832,23 @@ def boundary_set(
     def in_both(z: complex) -> bool:
         return base.contains(z) and lift.contains(z)
 
-    seen: set[tuple[float, float]] = set()
+    # each mark's preimages come de-duplicated, and distinct marks have
+    # distinct preimages
     for value, nu_value in base.marks:
         for z, nu_tilde in _mark_preimages(
             map_spec, value, nu_value, window.r_max, window.r_min, in_both
         ):
             if nu_tilde > base.ramification(z):
-                key = (round(z.real, 8), round(z.imag, 8))
-                if key not in seen:
-                    seen.add(key)
-                    pts.append(z)
-                    prov.append("extra_ramification")
+                pts.append(z)
+                prov.append("extra_ramification")
     for c, r in lift.surface.holes:
         shared = any(
-            abs(c - cb) <= _MATCH_TOL and abs(r - rb) <= 1e-12 for cb, rb in base.surface.holes
+            abs(c - cb) <= SAME_POINT_TOL and abs(r - rb) <= 1e-12 for cb, rb in base.surface.holes
         )
         if shared:
             continue  # coincides with the base boundary: infinite distance
         for z in _circle(c, r, _CIRCLE_SAMPLES):
-            m = abs(z - window.center)
+            m = abs(z)
             if window.r_min <= m <= window.r_max and base.contains(z):
                 pts.append(z)
                 prov.append("surface_boundary")

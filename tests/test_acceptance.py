@@ -113,7 +113,7 @@ def test_criterion_04_pi_sinh_postsingular(pi_sinh_map):
         rec.cycle_points() for rec in trunc.records.values()
     )
     base, _ = build_associated_orbifold(pi_sinh_map, 10)
-    rams = [base.ramification(want, tol=1e-9) for want in expected]
+    rams = [base.ramification(want) for want in expected]
     dt = time.monotonic() - t0
     report(
         4,

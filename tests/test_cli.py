@@ -36,6 +36,14 @@ def test_w_points_beyond_grid_is_usage_error(tmp_path, capsys):
     assert not (tmp_path / "bounds.json").exists()
 
 
+def test_empty_scale_range_is_usage_error(tmp_path, capsys):
+    argv = ["expansion", "--output", str(tmp_path), "--set", "scale_min_exp=5",
+            "--set", "scale_max_exp=4"]
+    assert run(argv) == 64
+    assert "scale_min_exp" in capsys.readouterr().err
+    assert not (tmp_path / "expansion.json").exists()
+
+
 def test_malformed_config_file(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("depth 12\n")

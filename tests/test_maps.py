@@ -108,21 +108,21 @@ def test_chain_rule_on_random_points():
 
 
 def test_orbit_pi_sinh_preperiodic(pi_sinh_map):
-    rec = iterate_orbit(pi_sinh_map, 1j * PI, 10, 1e6, 1e-9)
+    rec = iterate_orbit(pi_sinh_map, 1j * PI, 10, 1e6)
     assert rec.status == Preperiodic(preperiod=1, period=1)
     assert abs(rec.points[0] - 1j * PI) < 1e-15
     assert abs(rec.points[1]) < 1e-12
 
 
 def test_orbit_cosh_escapes(cosh_map):
-    rec = iterate_orbit(cosh_map, 1.0, 10, 1e6, 1e-9)
+    rec = iterate_orbit(cosh_map, 1.0, 10, 1e6)
     assert isinstance(rec.status, Escaped)
     for got, want in zip(rec.points, COSH_ORBIT):
         assert abs(got - want) <= 1e-12 * (1 + abs(want))
 
 
 def test_orbit_cosh_minus_one_superattracting(cosh_minus_one_map):
-    rec = iterate_orbit(cosh_minus_one_map, 0j, 10, 1e6, 1e-9)
+    rec = iterate_orbit(cosh_minus_one_map, 0j, 10, 1e6)
     assert rec.status == Preperiodic(preperiod=0, period=1)
 
 
@@ -137,7 +137,7 @@ def test_catalogue_orbits_always_classified():
     for name in ("cosh", "pi_sinh", "cosh_minus_one"):
         spec = get_map(name)
         for value in spec.singular_values():
-            rec = iterate_orbit(spec, value, 30, 1e6, 1e-9)
+            rec = iterate_orbit(spec, value, 30, 1e6)
             assert not isinstance(rec.status, Undetermined)
 
 
@@ -225,7 +225,7 @@ def test_attracting_cycle_points_are_listed_once():
         2.0: OrbitRecord(2.0, [2.0, b + 1e-12, a], Preperiodic(1, 2), attracting=True),
         3.0: OrbitRecord(3.0, [3.0, b, 7.0], Preperiodic(1, 2), attracting=False),
     }
-    trunc = TruncatedPostsingular("stub", 3, 1e6, [], records)
+    trunc = TruncatedPostsingular(3, [], records)
     assert trunc.attracting_cycle_points() == [a, b]
 
 

@@ -46,7 +46,7 @@ def _linear_half_map() -> EntireMapSpec:
 def test_build_pi_sinh_marks(pi_sinh_pair):
     base, lift = pi_sinh_pair
     for want in (0j, 1j * PI, -1j * PI):
-        assert base.ramification(want, tol=1e-9) == 2
+        assert base.ramification(want) == 2
     assert all(nu == 2 for _, nu in base.marks)
 
 
@@ -54,7 +54,7 @@ def test_build_cosh_marks(cosh_pair, cosh_map):
     base, lift = cosh_pair
     trunc = postsingular_truncation(cosh_map, 8)
     for p in trunc.julia_points():
-        assert base.ramification(p, tol=1e-9) == 2
+        assert base.ramification(p) == 2
 
 
 def test_build_trivial_map_marks_only_cycle():
@@ -128,7 +128,7 @@ def test_deepening_is_conservative(cosh_map):
     base6, _ = build_associated_orbifold(cosh_map, 6, cycle=cycle)
     base7, _ = build_associated_orbifold(cosh_map, 7, cycle=cycle)
     for p, nu in base6.marks:
-        assert base7.ramification(p, tol=1e-9) >= nu
+        assert base7.ramification(p) >= nu
 
 
 def test_boundary_set_cosh_window(cosh_map, cosh_pair):
@@ -142,7 +142,7 @@ def test_boundary_set_cosh_window(cosh_map, cosh_pair):
     # preimages on the period lattice near 2 pi i
     assert any(abs(p - (1.0 + 2j * PI)) < 1e-6 for p in bset.points)
     for p in bset.points:
-        assert base.ramification(p, tol=1e-9) == 1
+        assert base.ramification(p) == 1
 
 
 def test_boundary_set_identity_pair_empty(cosh_pair, cosh_map):
@@ -255,6 +255,8 @@ def test_marked_orbifold_validation():
         MarkedOrbifold(Surface(), ((0j, 1),))
     with pytest.raises(DomainError):
         MarkedOrbifold(Surface(), ((0j, 2), (1e-12 + 0j, 2)))
+    with pytest.raises(DomainError):  # exactly SAME_POINT_TOL apart is one point
+        MarkedOrbifold(Surface(), ((0j, 2), (1e-9 + 0j, 2)))
     with pytest.raises(DomainError):
         MarkedOrbifold(Surface(holes=((0j, 1.0),)), ((0.5 + 0j, 2),))
     with pytest.raises(DomainError):
@@ -268,8 +270,19 @@ def test_marked_orbifold_validation():
         {"kind": "disc", "discs": [[0.0, 0.0, 1.0], [3.0, 0.0, 1.0]]},
         {"kind": "plane", "discs": [[0.0, 0.0, 1.0]]},
         {"kind": "annulus", "discs": []},
+        {"kind": "plane_minus_discs", "discs": [[0, 0]]},
+        {"kind": "plane_minus_discs", "discs": [[0, 0, -1]]},
+        {"kind": "disc", "discs": [[0, 0, 0]]},
+        {"kind": "plane_minus_discs", "discs": [[0, 0, 1, 2]]},
+        {"kind": "plane_minus_discs", "discs": [[0, float("nan"), 1]]},
+        {"kind": "plane_minus_discs", "discs": [[0, 0, float("inf")]]},
+        {"kind": "plane_minus_discs", "discs": [["0", 0, 1]]},
+        {"kind": "plane_minus_discs", "discs": [0]},
+        {"kind": "plane_minus_discs", "discs": [[0, 0, True]]},
     ],
-    ids=["disc-without-disc", "disc-with-two-discs", "plane-with-disc", "unknown-kind"],
+    ids=["disc-without-disc", "disc-with-two-discs", "plane-with-disc", "unknown-kind",
+         "two-numbers", "negative-radius", "zero-radius", "four-numbers", "nan-centre",
+         "infinite-radius", "string-entry", "number-not-list", "boolean-radius"],
 )
 def test_malformed_surface_json_is_domain_error(surface):
     data = {"surface": surface, "marks": [], "truncation_depth": 0}

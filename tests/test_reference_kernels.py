@@ -1,8 +1,9 @@
 """The fast kernels against their plain loop versions, kept here as references.
 
-Preimage de-duplication, the certified curve length and the candidate order
-of expansion certificates were rewritten for speed without changing any
-arithmetic, so each must agree with its reference exactly, bit for bit.
+The same-point rule (``PointSet``), the annulus count, the certified curve
+length and the candidate order of expansion certificates were rewritten for
+speed without changing any arithmetic, so each must agree with its reference
+exactly, bit for bit.
 """
 
 import math
@@ -18,8 +19,8 @@ from hyporb.certify import (
 )
 from hyporb.curves import PolylineCurve, polyline_point_distance, segment_point_distances
 from hyporb.errors import DomainError
-from hyporb.maps import _dedup
-from hyporb.orbifolds import MarkedOrbifold, Surface
+from hyporb.maps import PointSet
+from hyporb.orbifolds import MarkedOrbifold, Surface, annulus_count
 
 # ---------------------------------------------------------------------------
 # Reference implementations
@@ -32,6 +33,21 @@ def dedup_reference(points, tol=1e-9):
         if all(abs(p - q) > tol for q in out):
             out.append(p)
     return out
+
+
+def find_reference(points, z, tol=1e-9):
+    return next((i for i, q in enumerate(points) if abs(z - q) <= tol), None)
+
+
+def annulus_count_reference(points, K):
+    moduli = sorted(abs(p) for p in points)
+    best = 0
+    for m in moduli:
+        for r in (m * (1 - 1e-9), m * (1 + 1e-9), m / K * (1 - 1e-9)):
+            if r > 0:
+                count = sum(1 for q in moduli if r * (1 - 1e-12) <= q <= K * r * (1 + 1e-12))
+                best = max(best, count)
+    return best
 
 
 def isolation_radius_reference(orb, index):
@@ -138,7 +154,7 @@ def polyline_point_distance_reference(curve, p):
 
 
 # ---------------------------------------------------------------------------
-# Preimage de-duplication
+# The same-point rule
 # ---------------------------------------------------------------------------
 
 # Coordinates on a quarter-tol lattice around a few magnitudes, so that pairs
@@ -169,7 +185,10 @@ def _clustered_points(draw):
 @given(_clustered_points())
 def test_dedup_matches_quadratic_loop(case):
     pts, tol = case
-    assert _dedup(pts, tol) == dedup_reference(pts, tol)
+    kept = PointSet(pts, tol)
+    assert kept.points == dedup_reference(pts, tol)
+    for z in pts + [z + complex(tol, -tol) / 2 for z in pts]:
+        assert kept.find(z) == find_reference(kept.points, z, tol)
 
 
 def test_dedup_keeps_first_point_of_a_chain():
@@ -177,8 +196,37 @@ def test_dedup_keeps_first_point_of_a_chain():
     chain = [0j, 0.9e-9 + 0j, 1.8e-9 + 0j, 2.7e-9 + 0j]
     # the second point falls to the first, so the third survives, which then
     # removes the fourth
-    assert _dedup(chain, tol) == [0j, 1.8e-9 + 0j]
-    assert _dedup(chain, tol) == dedup_reference(chain, tol)
+    kept = PointSet(chain, tol)
+    assert kept.points == [0j, 1.8e-9 + 0j]
+    assert kept.points == dedup_reference(chain, tol)
+    # add returns the index of the earliest kept point within tol
+    assert [kept.add(z) for z in chain] == [0, 0, 1, 1]
+    assert kept.points == [0j, 1.8e-9 + 0j]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.one_of(
+            st.complex_numbers(max_magnitude=1e6, allow_nan=False, allow_infinity=False),
+            # moduli on a power-of-two ladder: many equal, or exactly K apart
+            st.builds(lambda e, s: complex(2.0**e * s, 0.0), st.integers(-4, 8),
+                      st.sampled_from([1.0, -1.0, 1.5])),
+        ),
+        max_size=30,
+    ),
+    st.sampled_from([1.5, 2.0, 4.0, 10.0]),
+)
+def test_annulus_count_matches_quadratic_loop(points, K):
+    # add points exactly on both closed ends of the first points' candidate annuli
+    ends = [
+        e
+        for m in (abs(p) for p in points[:2])
+        for r in (m * (1 - 1e-9), m * (1 + 1e-9), m / K * (1 - 1e-9))
+        for e in (r * (1 - 1e-12), K * r * (1 + 1e-12))
+    ]
+    points = points + [complex(e, 0.0) for e in ends]
+    assert annulus_count(points, K) == annulus_count_reference(points, K)
 
 
 # ---------------------------------------------------------------------------
