@@ -32,13 +32,6 @@ def lambda_lower(R: float) -> float:
     return max(val, _ONE_PLUS)
 
 
-def w_of_R(R: float) -> float:
-    """Euclidean radius with hyperbolic distance R from the disc centre."""
-    if R <= 0:
-        raise DomainError("R must be positive")
-    return math.tanh(0.5 * R)
-
-
 def R_of_w(w: float) -> float:
     """Hyperbolic distance log((1+w)/(1-w)) from the origin to radius w."""
     if not 0.0 < w < 1.0:
@@ -47,7 +40,7 @@ def R_of_w(w: float) -> float:
 
 
 def ratio_upper(R: float) -> float:
-    """Upper bound 1 + 2/(e^R - 1) on the relative density; equals 1/w(R)."""
+    """Upper bound 1 + 2/(e^R - 1) on the relative density; equals 1/tanh(R/2)."""
     if R <= 0:
         raise DomainError("R must be positive")
     return 1.0 + 2.0 / math.expm1(R)
@@ -110,13 +103,10 @@ class BoundChainResult:
         return not self.violations
 
 
-def verify_bound_chain(
-    w_grid,
-    k_set,
-    slack: float = 1e-10,
-) -> BoundChainResult:
+def verify_bound_chain(w_grid, k_set) -> BoundChainResult:
     """Check lower <= cone(k) <= cone(k+1) <= puncture <= upper on a grid.
 
+    An inequality counts as violated when it comes short by more than 1e-10.
     Violations are returned as data; ``worst_slack`` is the largest amount by
     which any inequality came short (negative when everything holds with
     margin).
@@ -132,7 +122,7 @@ def verify_bound_chain(
         nonlocal worst
         short = lhs - rhs
         worst = max(worst, short)
-        if short > slack:
+        if short > 1e-10:
             violations.append(ChainViolation(w, k, what, short))
 
     for w in w_grid:

@@ -269,7 +269,7 @@ def expansion_certificate(
         R_bar = _exact_disc_distance(disc, z, b)
         return ExpansionCertificate(
             point=z,
-            path=PolylineCurve.segment(z, b),
+            path=PolylineCurve([z, b]),
             R_bar=R_bar,
             lambda_bar=lambda_lower(R_bar),
             truncation_depth=base.truncation_depth,

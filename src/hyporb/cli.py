@@ -33,7 +33,7 @@ from .certify import (
 from .curves import PolylineCurve
 from .errors import UsageError
 from .homotopy import build_representative, epsilon_prime, relative_winding, winding_class
-from .maps import get_map, nearest_preimage, postsingular_truncation
+from .maps import catalogue, get_map, nearest_preimage, postsingular_truncation
 from .orbifolds import (
     MarkedOrbifold,
     Surface,
@@ -80,6 +80,12 @@ class RunConfig:
     format: str = "both"
 
     def validate(self) -> None:
+        if self.map not in catalogue():
+            raise UsageError(f"config key map must be one of {sorted(catalogue())}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise UsageError(f"config key {f.name} must be finite")
         numeric_positive = (
             "escape_radius", "refinement", "margin_rel", "homotopy_eps",
             "sample_r_min", "sample_r_max", "r_min", "r_max",

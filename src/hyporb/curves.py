@@ -35,14 +35,6 @@ class PolylineCurve:
     def as_array(self) -> np.ndarray:
         return self._array
 
-    @staticmethod
-    def segment(a: complex, b: complex) -> "PolylineCurve":
-        return PolylineCurve([a, b])
-
-    @staticmethod
-    def constant(z: complex) -> "PolylineCurve":
-        return PolylineCurve([z, z])
-
 
 def segment_point_distances(a: np.ndarray, b: np.ndarray, pts: np.ndarray) -> np.ndarray:
     """(segments, points) matrix of distances from each point to each segment ``[a, b]``."""

@@ -48,9 +48,9 @@ def winding_class(curve: PolylineCurve, center: complex) -> WindingClass:
     return WindingClass(turns=turns, n=round(turns), endpoints=(curve.start, curve.end))
 
 
-def relative_winding(a: WindingClass, b: WindingClass, tol: float = 1e-6) -> int:
-    """Integer class difference of two curves sharing endpoints."""
-    if abs(a.endpoints[0] - b.endpoints[0]) > tol or abs(a.endpoints[1] - b.endpoints[1]) > tol:
+def relative_winding(a: WindingClass, b: WindingClass) -> int:
+    """Integer class difference of two curves sharing endpoints (up to 1e-6)."""
+    if abs(a.endpoints[0] - b.endpoints[0]) > 1e-6 or abs(a.endpoints[1] - b.endpoints[1]) > 1e-6:
         raise DomainError("winding classes compare only with shared endpoints")
     diff = a.turns - b.turns
     n = round(diff)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from .curves import PolylineCurve
@@ -31,11 +31,10 @@ _MAX_INSERTIONS = 4096
 class EntireMapSpec:
     """A concrete entire map with evaluator, derivatives and singular data.
 
-    ``critical_value_witnesses`` pairs each critical value with one critical
-    point mapping onto it.  ``critical_points_in_disc(center, radius)``
-    enumerates critical points with their local degrees inside a disc, and
-    ``preimages(value, r_max, r_min)`` enumerates the full preimage set of a
-    value inside an annulus, using the closed-form inverse branches plus the
+    ``critical_value_witnesses`` pairs each critical value (the catalogue maps
+    have no other singular values) with one critical point mapping onto it,
+    and ``preimages(value, r_max, r_min)`` enumerates the full preimage set of
+    a value inside an annulus, using the closed-form inverse branches plus the
     2*pi*i period lattice.
     """
 
@@ -43,14 +42,8 @@ class EntireMapSpec:
     eval: Callable[[complex], complex]
     deriv: Callable[[complex], complex]
     deriv2: Callable[[complex], complex]
-    critical_values: tuple[complex, ...]
     critical_value_witnesses: tuple[tuple[complex, complex], ...]
-    asymptotic_values: tuple[complex, ...]
-    critical_points_in_disc: Callable[[complex, float], list[tuple[complex, int]]]
     preimages: Callable[[complex, float, float], list[complex]]
-
-    def singular_values(self) -> tuple[complex, ...]:
-        return self.critical_values + self.asymptotic_values
 
 
 def _k_range(imag_center: float, span: float) -> range:
@@ -141,31 +134,13 @@ def _lattice_preimages(bases: tuple[complex, ...], r_max: float, r_min: float) -
     return pts
 
 
-def _imaginary_lattice_critical_points(
-    center: complex, radius: float, offset: float
-) -> list[tuple[complex, int]]:
-    """Critical points of the catalogue lie on i*(offset + pi*Z); degree 2."""
-    out = []
-    lo = math.floor((center.imag - radius - offset) / math.pi)
-    hi = math.ceil((center.imag + radius - offset) / math.pi)
-    for k in range(lo, hi + 1):
-        c = 1j * (offset + math.pi * k)
-        if abs(c - center) <= radius:
-            out.append((c, 2))
-    out.sort(key=lambda t: (abs(t[0]), t[0].real, t[0].imag))
-    return out
-
-
 def _make_cosh() -> EntireMapSpec:
     return EntireMapSpec(
         name="cosh",
         eval=cmath.cosh,
         deriv=cmath.sinh,
         deriv2=cmath.cosh,
-        critical_values=(-1.0 + 0j, 1.0 + 0j),
         critical_value_witnesses=((-1.0 + 0j, 1j * math.pi), (1.0 + 0j, 0j)),
-        asymptotic_values=(),
-        critical_points_in_disc=lambda c, r: _imaginary_lattice_critical_points(c, r, 0.0),
         preimages=lambda v, r_max, r_min: _lattice_preimages(_cosh_bases(v), r_max, r_min),
     )
 
@@ -177,10 +152,7 @@ def _make_pi_sinh() -> EntireMapSpec:
         eval=lambda z: pi * cmath.sinh(z),
         deriv=lambda z: pi * cmath.cosh(z),
         deriv2=lambda z: pi * cmath.sinh(z),
-        critical_values=(-1j * pi, 1j * pi),
         critical_value_witnesses=((-1j * pi, -1j * pi / 2), (1j * pi, 1j * pi / 2)),
-        asymptotic_values=(),
-        critical_points_in_disc=lambda c, r: _imaginary_lattice_critical_points(c, r, pi / 2),
         preimages=lambda v, r_max, r_min: _lattice_preimages(_pi_sinh_bases(v), r_max, r_min),
     )
 
@@ -191,10 +163,7 @@ def _make_cosh_minus_one() -> EntireMapSpec:
         eval=lambda z: cmath.cosh(z) - 1.0,
         deriv=cmath.sinh,
         deriv2=cmath.cosh,
-        critical_values=(-2.0 + 0j, 0j),
         critical_value_witnesses=((-2.0 + 0j, 1j * math.pi), (0j, 0j)),
-        asymptotic_values=(),
-        critical_points_in_disc=lambda c, r: _imaginary_lattice_critical_points(c, r, 0.0),
         preimages=lambda v, r_max, r_min: _lattice_preimages(_cosh_bases(v + 1.0), r_max, r_min),
     )
 
@@ -227,21 +196,19 @@ def evaluate(map_spec: EntireMapSpec, z: complex) -> complex:
     return w
 
 
-def local_degree(map_spec: EntireMapSpec, z: complex, tol: float = 1e-9) -> int:
+def local_degree(map_spec: EntireMapSpec, z: complex) -> int:
     """Smallest n with nonzero n-th derivative at z (catalogue: 1 or 2).
 
-    Criticality is decided by |f'(z)| <= tol and then confirmed by a nonzero
+    Criticality is decided by |f'(z)| <= 1e-9 and then confirmed by a nonzero
     second derivative; the catalogue maps have no degenerate critical points.
     """
-    if tol <= 0:
-        raise DomainError("tol must be positive")
     try:
         d1 = abs(map_spec.deriv(z))
     except OverflowError:
         return 1
-    if d1 > tol:
+    if d1 > 1e-9:
         return 1
-    if abs(map_spec.deriv2(z)) <= tol:
+    if abs(map_spec.deriv2(z)) <= 1e-9:
         raise DomainError(f"degenerate critical point at {z!r}")
     return 2
 
@@ -275,7 +242,6 @@ class OrbitRecord:
     seed: complex
     points: list[complex]
     status: OrbitStatus
-    local_degrees: list[int] = field(default_factory=list)
     attracting: bool = False
 
     def cycle_points(self) -> list[complex]:
@@ -333,8 +299,7 @@ def iterate_orbit(
             break
     if status is None:
         status = Undetermined(depth)
-    degrees = [local_degree(map_spec, p) for p in pts]
-    record = OrbitRecord(seed=complex(seed), points=pts, status=status, local_degrees=degrees)
+    record = OrbitRecord(seed=complex(seed), points=pts, status=status)
     cyc = record.cycle_points()
     record.attracting = bool(cyc) and abs(cycle_multiplier(map_spec, cyc)) < 1.0 - 1e-9
     return record
@@ -357,9 +322,6 @@ class TruncatedPostsingular:
     def julia_points(self) -> list[complex]:
         return [p.point for p in self.points if not p.fatou_candidate]
 
-    def fatou_points(self) -> list[complex]:
-        return [p.point for p in self.points if p.fatou_candidate]
-
     def attracting_cycle_points(self) -> list[complex]:
         """Points of the attracting cycles of the stored orbits, de-duplicated, in record order."""
         return PointSet(
@@ -372,17 +334,19 @@ def postsingular_truncation(
     depth: int,
     escape_radius: float = 1e6,
 ) -> TruncatedPostsingular:
-    """Union of the truncated forward orbits of all singular values.
+    """Union of the truncated forward orbits of all critical values.
 
     Points are de-duplicated by ``PointSet`` and tagged as Fatou
     candidates when their source orbit falls into a detected attracting
     cycle, Julia candidates otherwise.
     """
-    singular = sorted(map_spec.singular_values(), key=lambda v: (v.real, v.imag))
+    values = sorted(
+        (v for v, _ in map_spec.critical_value_witnesses), key=lambda v: (v.real, v.imag)
+    )
     entries: list[PostsingularPoint] = []
     records: dict[complex, OrbitRecord] = {}
     seen = PointSet()
-    for value in singular:
+    for value in values:
         rec = iterate_orbit(map_spec, value, depth, escape_radius)
         records[value] = rec
         for p in rec.points:
@@ -493,12 +457,3 @@ def pullback_curve(
         continue_to(b, a, 0)
     return PolylineCurve(lifted)
 
-
-def orbit_degree_product(map_spec: EntireMapSpec, w: complex, m: int) -> int:
-    """deg(f^m, w) as the product of local degrees along w, f(w), ..., f^(m-1)(w)."""
-    deg = 1
-    z = complex(w)
-    for _ in range(m):
-        deg *= local_degree(map_spec, z)
-        z = evaluate(map_spec, z)
-    return deg

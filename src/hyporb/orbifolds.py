@@ -13,9 +13,8 @@ from __future__ import annotations
 import cmath
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
-from math import gcd
 from typing import Callable, Iterator
 
 import numpy as np
@@ -35,7 +34,6 @@ from .maps import (
     PointSet,
     Preperiodic,
     TruncatedPostsingular,
-    cycle_multiplier,
     evaluate,
     local_degree,
     postsingular_truncation,
@@ -53,10 +51,6 @@ _LIFT_DISC_SAMPLES = 180
 _LIFT_WINDOW_RADIUS = 120.0
 # Samples per removed lift disc that ``boundary_set`` adds as boundary points.
 _CIRCLE_SAMPLES = 12
-
-
-def _lcm(a: int, b: int) -> int:
-    return a * b // gcd(a, b)
 
 
 def _circle(center: complex, radius: float, samples: int) -> list[complex]:
@@ -143,8 +137,11 @@ class Surface:
 
     @staticmethod
     def from_json(data: dict) -> "Surface":
-        kind = data["kind"]
-        discs = tuple(_disc_from_json(d) for d in data["discs"])
+        try:
+            kind, entries = data["kind"], data["discs"]
+        except (KeyError, TypeError):
+            raise DomainError(f"malformed surface {data!r}: need kind and discs") from None
+        discs = tuple(_disc_from_json(d) for d in entries)
         if kind == "plane" and not discs:
             return Surface()
         if kind == "plane_minus_discs":
@@ -154,15 +151,22 @@ class Surface:
         raise DomainError(f"malformed surface: kind {kind!r} with {len(discs)} disc(s)")
 
 
-def _disc_from_json(entry) -> tuple[complex, float]:
-    """``[re, im, radius]``: three finite non-boolean numbers with radius > 0, else DomainError."""
+def _entry_from_json(entry, third_ok: Callable, need: str) -> tuple[complex, int | float]:
+    """``[re, im, x]`` as ``(complex(re, im), x)`` when it holds three finite non-boolean
+    numbers with ``third_ok(x)``; else DomainError, saying what is needed."""
     try:
-        re, im, r = (float(v) if type(v) in (int, float) else math.nan for v in entry)
-    except (TypeError, ValueError, OverflowError):
-        re = im = r = math.nan
-    if not (all(map(math.isfinite, (re, im, r))) and r > 0):
-        raise DomainError(f"malformed disc {entry!r}: need [re, im, radius] with radius > 0")
-    return complex(re, im), r
+        if len(entry) == 3 and all(
+            type(v) in (int, float) and math.isfinite(v) for v in entry
+        ) and third_ok(entry[2]):
+            return complex(entry[0], entry[1]), entry[2]
+    except (TypeError, OverflowError):  # not a sequence; an int too large for a float
+        pass
+    raise DomainError(f"malformed entry {entry!r}: need {need}")
+
+
+def _disc_from_json(entry) -> tuple[complex, float]:
+    c, r = _entry_from_json(entry, lambda r: r > 0, "[re, im, radius] with radius > 0")
+    return c, float(r)
 
 
 @dataclass(frozen=True)
@@ -238,7 +242,11 @@ class MarkedOrbifold:
 
     @staticmethod
     def from_json(data: dict) -> "MarkedOrbifold":
-        marks = tuple((complex(m[0], m[1]), int(m[2])) for m in data["marks"])
+        # the order must be an int; __post_init__ rejects orders below 2
+        marks = tuple(
+            _entry_from_json(m, lambda nu: type(nu) is int, "[re, im, order] with an integer order")
+            for m in data["marks"]
+        )
         return MarkedOrbifold(
             Surface.from_json(data["surface"]),
             marks,
@@ -269,14 +277,7 @@ class SeparationReport:
     K: float
 
     def to_json(self) -> dict:
-        return {
-            "epsilon_star": self.epsilon_star,
-            "annulus_count_M": self.annulus_count_M,
-            "orbit_crit_bound_c": self.orbit_crit_bound_c,
-            "max_local_degree": self.max_local_degree,
-            "depth": self.depth,
-            "K": self.K,
-        }
+        return asdict(self)
 
 
 def pairwise_separation(points: list[complex]) -> float:
@@ -319,7 +320,7 @@ def annulus_count(points: list[complex], K: float) -> int:
 def separation_report(
     trunc: TruncatedPostsingular,
     K: float,
-    map_spec: EntireMapSpec | None = None,
+    map_spec: EntireMapSpec,
 ) -> SeparationReport:
     """Separation statistics of the Julia-candidate part of a truncation.
 
@@ -335,16 +336,15 @@ def separation_report(
 
     c = 0
     max_deg = 1
-    if map_spec is not None:
-        witness = {v: c0 for v, c0 in map_spec.critical_value_witnesses}
-        for value, rec in trunc.records.items():
-            chain = []
-            if value in witness:
-                chain.append(witness[value])
-            chain.extend(rec.points)
-            degrees = [local_degree(map_spec, p) for p in chain]
-            c = max(c, sum(1 for d in degrees if d > 1))
-            max_deg = max(max_deg, max(degrees, default=1))
+    witness = dict(map_spec.critical_value_witnesses)
+    for value, rec in trunc.records.items():
+        chain = []
+        if value in witness:
+            chain.append(witness[value])
+        chain.extend(rec.points)
+        degrees = [local_degree(map_spec, p) for p in chain]
+        c = max(c, sum(1 for d in degrees if d > 1))
+        max_deg = max(max_deg, max(degrees, default=1))
     return SeparationReport(
         epsilon_star=eps_star,
         annulus_count_M=M,
@@ -360,25 +360,15 @@ def separation_report(
 # ---------------------------------------------------------------------------
 
 
-def _newton_periodic(
-    map_spec: EntireMapSpec, period: int, seed: complex, iters: int = 80
-) -> complex | None:
+def _newton_fixed_point(map_spec: EntireMapSpec, seed: complex) -> complex | None:
+    """Newton for f(z) = z from ``seed``: the fixed point it reaches, or None."""
     z = complex(seed)
-    for _ in range(iters):
-        w = z
-        dw = 1.0 + 0j
-        ok = True
-        for _ in range(period):
-            try:
-                dw *= map_spec.deriv(w)
-                w = evaluate(map_spec, w)
-            except (Overflow, OverflowError):
-                ok = False
-                break
-        if not ok:
+    for _ in range(80):
+        try:
+            g = evaluate(map_spec, z) - z
+            dg = map_spec.deriv(z) - 1.0
+        except (Overflow, OverflowError):
             return None
-        g = w - z
-        dg = dw - 1.0
         if abs(dg) < 1e-14:
             return None
         step = g / dg
@@ -386,29 +376,23 @@ def _newton_periodic(
         if abs(step) < 1e-13:
             break
     try:
-        w = z
-        for _ in range(period):
-            w = evaluate(map_spec, w)
-    except (Overflow, OverflowError):
+        return z if abs(evaluate(map_spec, z) - z) < 1e-9 else None
+    except Overflow:
         return None
-    return z if abs(w - z) < 1e-9 else None
 
 
 def find_repelling_cycle(
     map_spec: EntireMapSpec,
-    period: int,
     seed_box: tuple[complex, complex] = (1.0 + 4.0j, 4.0 + 9.0j),
     exclude: list[complex] | None = None,
 ) -> list[complex]:
-    """Locate a repelling cycle of the given period by Newton from a seed grid.
+    """Locate a repelling fixed point by Newton from a seed grid; return it as a 1-cycle.
 
-    Accepted cycles have multiplier modulus > 1 + 1e-6, exact period, and
-    keep distance >= ``_CYCLE_EXCLUSION_RADIUS`` from every excluded point (by
-    default the truncated postsingular set).  The returned cycle is the
-    deterministic minimum over (|z|, re, im) of the accepted cycle starts.
+    Accepted fixed points have multiplier modulus > 1 + 1e-6 and keep
+    distance >= ``_CYCLE_EXCLUSION_RADIUS`` from every excluded point (by
+    default the truncated postsingular set).  The returned point is the
+    deterministic minimum over (|z|, re, im) of the accepted points.
     """
-    if period < 1:
-        raise DomainError("period must be >= 1")
     if exclude is None:
         exclude = [p.point for p in postsingular_truncation(map_spec, 12).points]
     lo, hi = seed_box
@@ -419,35 +403,16 @@ def find_repelling_cycle(
     ]
     found: list[complex] = []
     for seed in seeds:
-        z = _newton_periodic(map_spec, period, seed)
-        if z is None:
+        z = _newton_fixed_point(map_spec, seed)
+        if z is None or abs(map_spec.deriv(z)) <= 1.0 + 1e-6:
             continue
-        cyc = [z]
-        ok = True
-        for _ in range(period - 1):
-            try:
-                cyc.append(evaluate(map_spec, cyc[-1]))
-            except (Overflow, OverflowError):
-                ok = False
-                break
-        if not ok:
-            continue
-        # exact period: no earlier return to the start
-        if any(abs(cyc[j] - z) < 1e-9 for j in range(1, period)):
-            continue
-        if abs(cycle_multiplier(map_spec, cyc)) <= 1.0 + 1e-6:
-            continue
-        if any(abs(p - q) < _CYCLE_EXCLUSION_RADIUS for p in cyc for q in exclude):
+        if any(abs(z - q) < _CYCLE_EXCLUSION_RADIUS for q in exclude):
             continue
         if all(abs(z - f) > 1e-8 for f in found):
             found.append(z)
     if not found:
-        raise NotFound(f"no repelling {period}-cycle in box {seed_box!r}")
-    start = min(found, key=lambda z: (abs(z), z.real, z.imag))
-    cyc = [start]
-    for _ in range(period - 1):
-        cyc.append(evaluate(map_spec, cyc[-1]))
-    return cyc
+        raise NotFound(f"no repelling fixed point in box {seed_box!r}")
+    return [min(found, key=lambda z: (abs(z), z.real, z.imag))]
 
 
 @dataclass(frozen=True)
@@ -547,7 +512,7 @@ def _chain_lcm(nodes: list[_GraphNode]) -> list[int]:
             if j is None:
                 continue
             contrib = node.degree * (D[i] if has_chain[i] else 1)
-            new = _lcm(D[j], contrib) if has_chain[j] else contrib
+            new = math.lcm(D[j], contrib) if has_chain[j] else contrib
             if not has_chain[j] or new != D[j]:
                 D[j] = new
                 has_chain[j] = True
@@ -577,7 +542,7 @@ def build_associated_orbifold(
         raise DomainError("depth must be >= 1")
     trunc = postsingular_truncation(map_spec, depth, escape_radius)
     if cycle is None:
-        cycle = find_repelling_cycle(map_spec, 1, exclude=[p.point for p in trunc.points])
+        cycle = find_repelling_cycle(map_spec, exclude=[p.point for p in trunc.points])
 
     nodes, points = _build_orbit_graph(map_spec, trunc, cycle)
     # every Julia-candidate point and every cycle point is a node

@@ -73,7 +73,7 @@ def test_criterion_01_sharpness_identity():
 
 def test_criterion_02_bound_chain():
     t0 = time.monotonic()
-    result = verify_bound_chain(default_w_grid(999), range(2, 65), slack=1e-10)
+    result = verify_bound_chain(default_w_grid(999), range(2, 65))
     worst_upper = max(
         abs(ratio_upper(R_of_w(w)) * w - 1.0) for w in default_w_grid(999)
     )

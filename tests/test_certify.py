@@ -162,7 +162,7 @@ def test_spearman_examples():
 
 
 def test_pullback_constant_curve(cosh_map, cosh_pair):
-    curve = PolylineCurve.constant(2.0 + 1.0j)
+    curve = PolylineCurve([2.0 + 1.0j, 2.0 + 1.0j])
     seed = min(
         cosh_map.preimages(2.0 + 1.0j, 14.0, 0.0),
         key=lambda p: (abs(p - (2.0 + 1.0j)), p.real, p.imag),

@@ -36,6 +36,22 @@ def test_w_points_beyond_grid_is_usage_error(tmp_path, capsys):
     assert not (tmp_path / "bounds.json").exists()
 
 
+@pytest.mark.parametrize(
+    "command, setting, key",
+    [
+        ("separation", ["--set", "K=nan"], "K"),
+        ("separation", ["--set", "escape_radius=nan"], "escape_radius"),
+        ("expansion", ["--set", "sample_r_max=inf"], "sample_r_max"),
+        ("separation", ["--map", "frob"], "map"),
+    ],
+    ids=["nan-K", "nan-escape-radius", "infinite-sample-r-max", "unknown-map"],
+)
+def test_non_finite_value_or_unknown_map_is_usage_error(tmp_path, capsys, command, setting, key):
+    assert run([command, "--output", str(tmp_path)] + setting) == 64
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / f"{command}.json").exists()
+
+
 def test_empty_scale_range_is_usage_error(tmp_path, capsys):
     argv = ["expansion", "--output", str(tmp_path), "--set", "scale_min_exp=5",
             "--set", "scale_max_exp=4"]

@@ -25,7 +25,6 @@ from hyporb.maps import (
     iterate_orbit,
     local_degree,
     nearest_preimage,
-    orbit_degree_product,
     postsingular_truncation,
     pullback_curve,
 )
@@ -51,26 +50,14 @@ def test_evaluate_overflow(cosh_map):
 
 
 def test_local_degree_examples(cosh_map, pi_sinh_map):
-    assert local_degree(cosh_map, 0j, 1e-9) == 2
-    assert local_degree(cosh_map, 1.0, 1e-9) == 1
-    assert local_degree(pi_sinh_map, 1j * PI / 2, 1e-9) == 2
-
-
-def test_critical_points_in_disc(cosh_map, pi_sinh_map):
-    pts = cosh_map.critical_points_in_disc(0j, 7.0)
-    want = [0j, 1j * PI, -1j * PI, 2j * PI, -2j * PI]
-    assert len(pts) == len(want)
-    for w in want:
-        assert min(abs(p - w) for p, _ in pts) < 1e-12
-    assert all(deg == 2 for _, deg in pts)
-    pts2 = pi_sinh_map.critical_points_in_disc(0j, 5.0)
-    assert len(pts2) == 4  # +-i pi/2 and +-3 i pi/2
+    assert local_degree(cosh_map, 0j) == 2
+    assert local_degree(cosh_map, 1.0) == 1
+    assert local_degree(pi_sinh_map, 1j * PI / 2) == 2
 
 
 def test_critical_value_witnesses():
     for name in ("cosh", "pi_sinh", "cosh_minus_one"):
         spec = get_map(name)
-        assert spec.asymptotic_values == ()
         for value, point in spec.critical_value_witnesses:
             assert abs(evaluate(spec, point) - value) <= 1e-12
             assert local_degree(spec, point) == 2
@@ -126,17 +113,10 @@ def test_orbit_cosh_minus_one_superattracting(cosh_minus_one_map):
     assert rec.status == Preperiodic(preperiod=0, period=1)
 
 
-def test_orbit_degree_product_matches_chain(cosh_map):
-    # deg(f^m, w) as a product over j = 0 .. m-1 of per-point local degrees
-    w = 0j  # critical point of cosh
-    assert orbit_degree_product(cosh_map, w, 3) == 2
-    assert orbit_degree_product(cosh_map, 1.0, 3) == 1
-
-
 def test_catalogue_orbits_always_classified():
     for name in ("cosh", "pi_sinh", "cosh_minus_one"):
         spec = get_map(name)
-        for value in spec.singular_values():
+        for value, _ in spec.critical_value_witnesses:
             rec = iterate_orbit(spec, value, 30, 1e6)
             assert not isinstance(rec.status, Undetermined)
 
@@ -148,7 +128,7 @@ def test_postsingular_pi_sinh(pi_sinh_map):
     expected = [0j, 1j * PI, -1j * PI]
     for want in expected:
         assert min(abs(p - want) for p in pts) <= 1e-9
-    assert not trunc.fatou_points()
+    assert not [p.point for p in trunc.points if p.fatou_candidate]
 
 
 def test_postsingular_cosh_depth4(cosh_map):
@@ -162,7 +142,7 @@ def test_postsingular_cosh_depth4(cosh_map):
 
 def test_postsingular_cosh_minus_one(cosh_minus_one_map):
     trunc = postsingular_truncation(cosh_minus_one_map, 4, 1e6)
-    fatou = trunc.fatou_points()
+    fatou = [p.point for p in trunc.points if p.fatou_candidate]
     assert len(fatou) == 1 and abs(fatou[0]) < 1e-12
     julia = trunc.julia_points()
     assert min(abs(p + 2) for p in julia) < 1e-12
@@ -187,7 +167,7 @@ def test_inverse_step_examples(cosh_map, pi_sinh_map):
 
 
 def test_pullback_constant_curve(cosh_map):
-    curve = PolylineCurve.constant(COSH_ORBIT[2])
+    curve = PolylineCurve([COSH_ORBIT[2], COSH_ORBIT[2]])
     lifted = pullback_curve(cosh_map, curve, COSH_1)
     assert all(abs(v - COSH_1) < 1e-9 for v in lifted.vertices)
 
@@ -236,8 +216,7 @@ def test_nearest_preimage(pi_sinh_map):
     assert all(abs(z - a) <= abs(p - a) for p in pi_sinh_map.preimages(a, abs(a) + 12.0, 0.0))
     stub = EntireMapSpec(
         name="none", eval=lambda z: z, deriv=lambda z: 1 + 0j, deriv2=lambda z: 0j,
-        critical_values=(), critical_value_witnesses=(), asymptotic_values=(),
-        critical_points_in_disc=lambda c, r: [], preimages=lambda v, r_max, r_min: [],
+        critical_value_witnesses=(), preimages=lambda v, r_max, r_min: [],
     )
     with pytest.raises(NotFound):
         nearest_preimage(stub, 1.0 + 0j)

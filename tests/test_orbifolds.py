@@ -35,10 +35,7 @@ def _linear_half_map() -> EntireMapSpec:
         eval=lambda z: 0.5 * z,
         deriv=lambda z: 0.5 + 0j,
         deriv2=lambda z: 0j,
-        critical_values=(),
         critical_value_witnesses=(),
-        asymptotic_values=(),
-        critical_points_in_disc=lambda c, r: [],
         preimages=lambda v, r_max, r_min: [2.0 * v] if r_min <= abs(2.0 * v) <= r_max else [],
     )
 
@@ -124,7 +121,7 @@ def test_covering_identity_at_critical_witness(cosh_map, cosh_pair):
 
 
 def test_deepening_is_conservative(cosh_map):
-    cycle = find_repelling_cycle(cosh_map, 1)
+    cycle = find_repelling_cycle(cosh_map)
     base6, _ = build_associated_orbifold(cosh_map, 6, cycle=cycle)
     base7, _ = build_associated_orbifold(cosh_map, 7, cycle=cycle)
     for p, nu in base6.marks:
@@ -215,16 +212,16 @@ def test_absorbing_disc_rejects_repelling(cosh_minus_one_map):
 def test_find_repelling_cycle_examples(cosh_map, pi_sinh_map, cosh_minus_one_map):
     import cmath
 
-    cyc = find_repelling_cycle(cosh_map, 1)
+    cyc = find_repelling_cycle(cosh_map)
     z = cyc[0]
     assert abs(cmath.cosh(z) - z) < 1e-9
     assert abs(cmath.sinh(z)) > 1 + 1e-6
     # the fixed point 0 of pi*sinh is postsingular, so a tight box around 0 fails
     with pytest.raises(NotFound):
-        find_repelling_cycle(pi_sinh_map, 1, seed_box=(-0.2 - 0.2j, 0.2 + 0.2j))
+        find_repelling_cycle(pi_sinh_map, seed_box=(-0.2 - 0.2j, 0.2 + 0.2j))
     # the fixed point 0 of cosh - 1 is attracting, so it is filtered too
     with pytest.raises(NotFound):
-        find_repelling_cycle(cosh_minus_one_map, 1, seed_box=(-0.2 - 0.2j, 0.2 + 0.2j))
+        find_repelling_cycle(cosh_minus_one_map, seed_box=(-0.2 - 0.2j, 0.2 + 0.2j))
 
 
 def test_cosh_minus_one_surface(cosh_minus_one_pair):
@@ -279,13 +276,28 @@ def test_marked_orbifold_validation():
         {"kind": "plane_minus_discs", "discs": [["0", 0, 1]]},
         {"kind": "plane_minus_discs", "discs": [0]},
         {"kind": "plane_minus_discs", "discs": [[0, 0, True]]},
+        {"discs": []},
+        {"kind": "plane"},
     ],
     ids=["disc-without-disc", "disc-with-two-discs", "plane-with-disc", "unknown-kind",
          "two-numbers", "negative-radius", "zero-radius", "four-numbers", "nan-centre",
-         "infinite-radius", "string-entry", "number-not-list", "boolean-radius"],
+         "infinite-radius", "string-entry", "number-not-list", "boolean-radius",
+         "no-kind", "no-discs"],
 )
 def test_malformed_surface_json_is_domain_error(surface):
     data = {"surface": surface, "marks": [], "truncation_depth": 0}
+    with pytest.raises(DomainError):
+        MarkedOrbifold.from_json(data)
+
+
+@pytest.mark.parametrize(
+    "mark",
+    [[0, 0], [0, 0, "x"], [float("nan"), 0, 2], [0.5, 0, 2.7], [10**400, 0, 2], 0],
+    ids=["two-numbers", "string-order", "nan-centre", "fractional-order", "huge-int-centre",
+         "number-not-list"],
+)
+def test_malformed_mark_json_is_domain_error(mark):
+    data = {"surface": {"kind": "plane", "discs": []}, "marks": [mark], "truncation_depth": 0}
     with pytest.raises(DomainError):
         MarkedOrbifold.from_json(data)
 

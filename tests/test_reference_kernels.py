@@ -342,7 +342,7 @@ def test_polyline_point_distance_matches_scalar_loop():
     # arrays, which may differ from abs() of a Python complex in the last bit
     # (it does on AVX-512 hosts).
     rng = np.random.default_rng(5)
-    curves = [PolylineCurve.constant(0.4 - 1.1j)]
+    curves = [PolylineCurve([0.4 - 1.1j, 0.4 - 1.1j])]
     for _ in range(150):
         n = int(rng.integers(2, 7))
         verts = [complex(v) for v in rng.uniform(-3, 3, n) + 1j * rng.uniform(-3, 3, n)]
