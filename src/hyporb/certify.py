@@ -21,7 +21,7 @@ from .curves import PolylineCurve, polyline_point_distance, segment_point_distan
 from .errors import DomainError, PathBlocked
 from .maps import EntireMapSpec, evaluate, nearest_preimage, pullback_curve
 from .models import ConeDisc, cone_density, cone_density_formula, hyp_distance_disc
-from .orbifolds import BoundarySet, MarkedOrbifold, Window, boundary_set
+from .orbifolds import BoundarySet, MarkedOrbifold, Window, boundary_set, truncation_warning
 
 # A piece keeps splitting while its density supremum exceeds this factor times
 # the density at its far end; it bounds the overestimate near singularities.
@@ -230,15 +230,6 @@ def _candidate_paths(z: complex, b: complex) -> list[list[complex]]:
     return paths
 
 
-def _min_mark_distance(orb: MarkedOrbifold, pts: list[complex]) -> float:
-    marks = orb.mark_array
-    if marks.size == 0:
-        return math.inf
-    a = np.asarray(pts[:-1], dtype=complex)
-    b = np.asarray(pts[1:], dtype=complex)
-    return float(segment_point_distances(a, b, marks).min())
-
-
 def expansion_certificate(
     pair: tuple[MarkedOrbifold, MarkedOrbifold],
     z: complex,
@@ -288,14 +279,12 @@ def expansion_certificate(
     best: tuple[float, list[complex]] | None = None
     for b in candidates:
         for path_pts in _candidate_paths(z, b):
-            if _min_mark_distance(base, path_pts) < margin:
-                continue
             try:
                 length = certified_curve_length(
                     base,
                     PolylineCurve(path_pts),
                     refinement=max(refinement, _path_len(path_pts) / 256.0),
-                    mark_margin=min(margin, 1e-9),
+                    mark_margin=margin,
                 )
             except DomainError:
                 continue
@@ -364,8 +353,9 @@ def annulus_uniformity_scan(
 
     For each scale t the boundary supply is the slice [t/8, 4 t max(_RADIUS_FACTORS)]
     of one shared enumeration, and certificates are computed at deterministic
-    sample points on the circles |z| = t * _RADIUS_FACTORS.  The tested claim
-    is the absence of growth of max R_bar across scales.
+    sample points on the circles |z| = t * _RADIUS_FACTORS.  Each row carries
+    the truncation warning of its own slice.  The tested claim is the absence
+    of growth of max R_bar across scales.
     """
     base, lift = pair
     rows: list[ScanRow] = []
@@ -383,7 +373,7 @@ def annulus_uniformity_scan(
         bset = BoundarySet(
             points=[shared.points[i] for i in idx],
             provenance=[shared.provenance[i] for i in idx],
-            truncation_warning=shared.truncation_warning,
+            truncation_warning=truncation_warning(base, r_hi),
         )
         if not bset.points:
             rows.append(

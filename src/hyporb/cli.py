@@ -1,8 +1,9 @@
 """Command-line front end: deterministic runs, JSON/CSV reports, exit codes.
 
 Subcommands: bounds, orbifold, separation, expansion, pullback, homotopy,
-basin.  Configuration is a flat key = value text file; command-line flags
-override file values.  All floats are emitted with 12 significant digits and
+basin, and show-config, which prints the effective configuration.
+Configuration is a flat key = value text file; command-line flags override
+file values and --set overrides anything.  All floats are emitted with 12 significant digits and
 every run with the same configuration produces byte-identical files.
 
 Exit codes: 0 pass, 2 mathematical check failure, 64 usage error,
@@ -120,38 +121,36 @@ class RunConfig:
 
 
 def load_config(path: str | None) -> RunConfig:
-    cfg = RunConfig()
     if path is None:
-        return cfg
-    valid = {f.name: f.type for f in fields(RunConfig)}
-    updates: dict[str, object] = {}
+        return RunConfig()
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise UsageError(f"cannot read config file {path}: {exc}") from None
+    updates: dict[str, object] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise UsageError(f"{path}:{lineno}: expected key = value")
-        key, _, value = (tok.strip() for tok in line.partition("="))
-        if key not in valid:
-            raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
+        if line:
+            _assign(updates, line, f"{path}:{lineno}")
+    return replace(RunConfig(), **updates)
+
+
+def _assign(updates: dict[str, object], item: str, where: str) -> None:
+    """Parse one ``KEY = VALUE`` item into ``updates``; errors start with ``where``."""
+    if "=" not in item:
+        raise UsageError(f"{where}: expected KEY = VALUE, got {item!r}")
+    key, _, value = (tok.strip() for tok in item.partition("="))
+    if key not in {f.name for f in fields(RunConfig)}:
+        raise UsageError(f"{where}: unknown config key {key!r}")
+    try:
         updates[key] = _coerce(key, value)
-    return replace(cfg, **updates)
+    except ValueError:
+        raise UsageError(f"{where}: config key {key}: cannot parse {value!r}") from None
 
 
 def _coerce(key: str, value: str):
-    current = getattr(RunConfig(), key)
-    try:
-        if isinstance(current, int):
-            return int(value)
-        if isinstance(current, float):
-            return float(value)
-        return value
-    except ValueError:
-        raise UsageError(f"config key {key}: cannot parse {value!r}") from None
+    """``value`` parsed as the type of ``key``'s default (int, float or str)."""
+    return type(getattr(RunConfig(), key))(value)
 
 
 def f12(x: float) -> float:
@@ -176,28 +175,22 @@ def _rounded(data):
     return data
 
 
-class _Reporter:
-    """Writes the per-command json/csv artifacts under the output directory."""
-
-    def __init__(self, cfg: RunConfig, command: str):
-        self.cfg = cfg
-        self.command = command
-        self.outdir = Path(cfg.output)
-        self.outdir.mkdir(parents=True, exist_ok=True)
-
-    def write_json(self, payload: dict) -> None:
-        """Writes ``payload`` with every float rounded by ``f12``."""
-        if self.cfg.format in ("json", "both"):
-            path = self.outdir / f"{self.command}.json"
-            path.write_text(json.dumps(_rounded(payload), indent=2) + "\n")
-
-    def write_csv(self, header: list[str], rows: list[list]) -> None:
-        if self.cfg.format in ("csv", "both"):
-            path = self.outdir / f"{self.command}.csv"
-            lines = [",".join(header)]
-            for row in rows:
-                lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row))
-            path.write_text("\n".join(lines) + "\n")
+def _write(
+    cfg: RunConfig, command: str, payload: dict, header: list[str], rows: list[list]
+) -> None:
+    """Write the artifacts that ``cfg.format`` selects under ``cfg.output``:
+    ``<command>.json`` holds ``{"command": command, **payload}`` with every float
+    rounded by ``f12``, ``<command>.csv`` the rows with floats as ``.12g``."""
+    outdir = Path(cfg.output)
+    outdir.mkdir(parents=True, exist_ok=True)
+    if cfg.format in ("json", "both"):
+        text = json.dumps(_rounded({"command": command, **payload}), indent=2)
+        (outdir / f"{command}.json").write_text(text + "\n")
+    if cfg.format in ("csv", "both"):
+        lines = [",".join(header)]
+        for row in rows:
+            lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row))
+        (outdir / f"{command}.csv").write_text("\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -206,23 +199,19 @@ class _Reporter:
 
 
 def cmd_bounds(cfg: RunConfig) -> int:
-    rep = _Reporter(cfg, "bounds")
     chain = bnd.verify_bound_chain(bnd.default_w_grid(cfg.w_points), range(2, cfg.k_max + 1))
+    payload = {
+        "passed": chain.passed,
+        "samples": len(chain.samples),
+        "worst_slack": chain.worst_slack,
+        "violations": [
+            {"w": v.w, "k": v.k, "what": v.description, "slack": v.slack}
+            for v in chain.violations[:20]
+        ],
+        "lambda_at_1": bnd.lambda_lower(1.0),
+    }
     table = bnd.lambda_table(cfg.r_min, cfg.r_max, cfg.r_points)
-    rep.write_csv(["R", "Lambda"], [[R, v] for R, v in table])
-    rep.write_json(
-        {
-            "command": "bounds",
-            "passed": chain.passed,
-            "samples": len(chain.samples),
-            "worst_slack": chain.worst_slack,
-            "violations": [
-                {"w": v.w, "k": v.k, "what": v.description, "slack": v.slack}
-                for v in chain.violations[:20]
-            ],
-            "lambda_at_1": bnd.lambda_lower(1.0),
-        }
-    )
+    _write(cfg, "bounds", payload, ["R", "Lambda"], [[R, v] for R, v in table])
     print(f"bounds: {'pass' if chain.passed else 'FAIL'} "
           f"({len(chain.samples)} samples, worst slack {_fmt(chain.worst_slack)})")
     return 0 if chain.passed else 2
@@ -235,7 +224,6 @@ def _build_pair(cfg: RunConfig):
 
 
 def cmd_orbifold(cfg: RunConfig) -> int:
-    rep = _Reporter(cfg, "orbifold")
     spec, (base, lift) = _build_pair(cfg)
     rng = np.random.default_rng(cfg.seed)
     samples = []
@@ -248,7 +236,6 @@ def cmd_orbifold(cfg: RunConfig) -> int:
     trunc = postsingular_truncation(spec, cfg.depth, cfg.escape_radius)
     sep = separation_report(trunc, cfg.K, spec)
     payload = {
-        "command": "orbifold",
         "map": cfg.map,
         "base": base.to_json(),
         "lift": lift.to_json(),
@@ -258,11 +245,8 @@ def cmd_orbifold(cfg: RunConfig) -> int:
         "inclusion_witnesses": inclusion.witnesses[:10],
         "separation": sep.to_json(),
     }
-    rep.write_json(payload)
-    rep.write_csv(
-        ["mark_re", "mark_im", "ramification"],
-        [[p.real, p.imag, nu] for p, nu in base.marks],
-    )
+    _write(cfg, "orbifold", payload, ["mark_re", "mark_im", "ramification"],
+           [[p.real, p.imag, nu] for p, nu in base.marks])
     ok = covering.passed and inclusion.passed
     print(f"orbifold[{cfg.map}]: {'pass' if ok else 'FAIL'} "
           f"({len(base.marks)} base marks, {len(lift.marks)} lift marks)")
@@ -270,24 +254,18 @@ def cmd_orbifold(cfg: RunConfig) -> int:
 
 
 def cmd_separation(cfg: RunConfig) -> int:
-    rep = _Reporter(cfg, "separation")
     spec = get_map(cfg.map)
     trunc = postsingular_truncation(spec, cfg.depth, cfg.escape_radius)
     sep = separation_report(trunc, cfg.K, spec)
+    report = sep.to_json()
     payload = {
-        "command": "separation",
         "map": cfg.map,
         "points": [[p.point.real, p.point.imag] for p in trunc.points],
         "julia_candidates": sum(1 for p in trunc.points if not p.fatou_candidate),
         "fatou_candidates": sum(1 for p in trunc.points if p.fatou_candidate),
-        "report": sep.to_json(),
+        "report": report,
     }
-    rep.write_json(payload)
-    rep.write_csv(
-        ["epsilon_star", "annulus_count_M", "orbit_crit_bound_c", "max_local_degree", "depth", "K"],
-        [[sep.epsilon_star, sep.annulus_count_M, sep.orbit_crit_bound_c,
-          sep.max_local_degree, sep.depth, sep.K]],
-    )
+    _write(cfg, "separation", payload, list(report), [list(report.values())])
     print(f"separation[{cfg.map}]: eps*={_fmt(sep.epsilon_star)} M={sep.annulus_count_M} "
           f"c={sep.orbit_crit_bound_c}")
     return 0
@@ -305,17 +283,14 @@ def sample_points(cfg: RunConfig) -> list[complex]:
 
 
 def cmd_expansion(cfg: RunConfig) -> int:
-    rep = _Reporter(cfg, "expansion")
     spec, pair = _build_pair(cfg)
     base, lift = pair
     window = Window(r_max=8.0 * cfg.sample_r_max, r_min=0.0)
     supply = boundary_set(spec, lift, base, window)
-    certs = []
-    for z in sample_points(cfg):
-        cert = expansion_certificate(
-            pair, z, supply, refinement=cfg.refinement, margin_rel=cfg.margin_rel
-        )
-        certs.append(cert)
+    certs = [
+        expansion_certificate(pair, z, supply, refinement=cfg.refinement, margin_rel=cfg.margin_rel)
+        for z in sample_points(cfg)
+    ]
     min_lambda = min(c.lambda_bar for c in certs)
     scales = [2.0**e for e in range(cfg.scale_min_exp, cfg.scale_max_exp + 1)]
     rows = annulus_uniformity_scan(
@@ -324,7 +299,6 @@ def cmd_expansion(cfg: RunConfig) -> int:
     maxes = [r.max_R_bar for r in rows if r.samples > 0]
     rho = spearman_rank_correlation(list(range(len(maxes))), maxes) if len(maxes) >= 2 else 0.0
     payload = {
-        "command": "expansion",
         "map": cfg.map,
         "certificates": [c.to_json() for c in certs],
         "min_lambda_bar": min_lambda,
@@ -334,11 +308,8 @@ def cmd_expansion(cfg: RunConfig) -> int:
         "truncation_note": "boundary set enumerated from depth-"
         f"{cfg.depth} truncated data; escape labels are truncation-relative",
     }
-    rep.write_json(payload)
-    rep.write_csv(
-        ["scale", "max_R_bar", "min_lambda_bar", "samples"],
-        [[r.scale, r.max_R_bar, r.min_lambda_bar, r.samples] for r in rows],
-    )
+    _write(cfg, "expansion", payload, ["scale", "max_R_bar", "min_lambda_bar", "samples"],
+           [[r.scale, r.max_R_bar, r.min_lambda_bar, r.samples] for r in rows])
     print(f"expansion[{cfg.map}]: min certified lambda {_fmt(min_lambda)} over {len(certs)} points")
     if min_lambda <= 1.0:
         print("internal error: certificate with lambda_bar <= 1", file=sys.stderr)
@@ -347,7 +318,6 @@ def cmd_expansion(cfg: RunConfig) -> int:
 
 
 def cmd_pullback(cfg: RunConfig) -> int:
-    rep = _Reporter(cfg, "pullback")
     spec, pair = _build_pair(cfg)
     a = complex(cfg.pullback_re_a, cfg.pullback_imag)
     b = complex(cfg.pullback_re_b, cfg.pullback_imag)
@@ -358,30 +328,24 @@ def cmd_pullback(cfg: RunConfig) -> int:
     )
     ratios = result.ratios()
     bad = [(k, v) for k, v in ratios if k >= 2 and not v < 1.0]
-    rep.write_csv(
-        ["k", "length_bound"],
-        [[r.k, r.length_bound] for r in result.rows],
-    )
-    rep.write_json(
-        {
-            "command": "pullback",
-            "map": cfg.map,
-            "curve0": [[v.real, v.imag] for v in curve0.vertices],
-            "branch_seed": [seed.real, seed.imag],
-            "lengths": [r.length_bound for r in result.rows],
-            "ratios": [{"k": k, "ratio": v} for k, v in ratios],
-            "decay_rate": result.decay_rate,
-            "forward_residual": result.forward_residual,
-            "monotone_after_burn_in": not bad,
-        }
-    )
+    payload = {
+        "map": cfg.map,
+        "curve0": [[v.real, v.imag] for v in curve0.vertices],
+        "branch_seed": [seed.real, seed.imag],
+        "lengths": [r.length_bound for r in result.rows],
+        "ratios": [{"k": k, "ratio": v} for k, v in ratios],
+        "decay_rate": result.decay_rate,
+        "forward_residual": result.forward_residual,
+        "monotone_after_burn_in": not bad,
+    }
+    _write(cfg, "pullback", payload, ["k", "length_bound"],
+           [[r.k, r.length_bound] for r in result.rows])
     print(f"pullback[{cfg.map}]: rate {_fmt(result.decay_rate)}, "
           f"forward residual {_fmt(result.forward_residual)}")
     return 0 if not bad else 2
 
 
 def cmd_homotopy(cfg: RunConfig) -> int:
-    rep = _Reporter(cfg, "homotopy")
     eps = cfg.homotopy_eps
     limit = eps / 6.0
     rows = []
@@ -401,43 +365,36 @@ def cmd_homotopy(cfg: RunConfig) -> int:
                 ok = length < limit and wind == sign * n
                 violations += 0 if ok else 1
                 rows.append([d, n, sign, length, wind, limit])
-    rep.write_csv(["d", "n", "sign", "length", "winding", "limit"], rows)
-    rep.write_json(
-        {
-            "command": "homotopy",
-            "eps": eps,
-            "orders": cfg.homotopy_orders(),
-            "n_max": cfg.homotopy_n_max,
-            "rows": len(rows),
-            "violations": violations,
-            "max_length": max(r[3] for r in rows),
-            "limit": limit,
-        }
-    )
+    max_length = max(r[3] for r in rows)
+    payload = {
+        "eps": eps,
+        "orders": cfg.homotopy_orders(),
+        "n_max": cfg.homotopy_n_max,
+        "rows": len(rows),
+        "violations": violations,
+        "max_length": max_length,
+        "limit": limit,
+    }
+    _write(cfg, "homotopy", payload, ["d", "n", "sign", "length", "winding", "limit"], rows)
     print(f"homotopy: {len(rows)} representatives, max length "
-          f"{_fmt(max(r[3] for r in rows))} < {_fmt(limit)}: {violations == 0}")
+          f"{_fmt(max_length)} < {_fmt(limit)}: {violations == 0}")
     return 0 if violations == 0 else 2
 
 
 def cmd_basin(cfg: RunConfig) -> int:
-    rep = _Reporter(cfg, "basin")
     spec = get_map(cfg.map)
     trunc = postsingular_truncation(spec, cfg.depth, cfg.escape_radius)
-    discs = []
-    for q in trunc.attracting_cycle_points():
-        disc = find_absorbing_disc(spec, q)
-        discs.append(
-            {
-                "center": [disc.center.real, disc.center.imag],
-                "radius": disc.radius,
-                "boundary_sup": disc.boundary_sup,
-            }
-        )
-    rep.write_json({"command": "basin", "map": cfg.map, "absorbing_discs": discs})
-    rep.write_csv(
-        ["center_re", "center_im", "radius", "boundary_sup"],
-        [[d["center"][0], d["center"][1], d["radius"], d["boundary_sup"]] for d in discs],
-    )
+    discs = [find_absorbing_disc(spec, q) for q in trunc.attracting_cycle_points()]
+    payload = {
+        "map": cfg.map,
+        "absorbing_discs": [
+            {"center": [d.center.real, d.center.imag], "radius": d.radius,
+             "boundary_sup": d.boundary_sup}
+            for d in discs
+        ],
+    }
+    _write(cfg, "basin", payload, ["center_re", "center_im", "radius", "boundary_sup"],
+           [[d.center.real, d.center.imag, d.radius, d.boundary_sup] for d in discs])
     print(f"basin[{cfg.map}]: {len(discs)} absorbing disc(s)")
     return 0
 
@@ -473,7 +430,6 @@ def build_parser() -> _Parser:
         metavar="KEY=VALUE",
         help="override any config key",
     )
-    parser.add_argument("--show-config", action="store_true", help="print the effective config")
     return parser
 
 
@@ -481,26 +437,19 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         cfg = load_config(args.config)
-        overrides: dict[str, object] = {}
-        for flag in ("output", "map", "depth", "format"):
-            value = getattr(args, flag)
-            if value is not None:
-                overrides[flag] = value
+        overrides = {
+            flag: getattr(args, flag)
+            for flag in ("output", "map", "depth", "format")
+            if getattr(args, flag) is not None
+        }
         for item in args.set:
-            if "=" not in item:
-                raise UsageError(f"--set expects KEY=VALUE, got {item!r}")
-            key, _, value = item.partition("=")
-            key = key.strip()
-            if key not in {f.name for f in fields(RunConfig)}:
-                raise UsageError(f"unknown config key {key!r}")
-            overrides[key] = _coerce(key, value.strip())
+            _assign(overrides, item, "--set")
         cfg = replace(cfg, **overrides)
         cfg.validate()
-        if args.command == "show-config" or args.show_config:
+        if args.command == "show-config":
             for f in fields(RunConfig):
                 print(f"{f.name} = {getattr(cfg, f.name)}")
-            if args.command == "show-config":
-                return 0
+            return 0
         return _COMMANDS[args.command](cfg)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -138,9 +138,9 @@ class Surface:
     @staticmethod
     def from_json(data: dict) -> "Surface":
         try:
-            kind, entries = data["kind"], data["discs"]
+            kind, entries = data["kind"], list(data["discs"])
         except (KeyError, TypeError):
-            raise DomainError(f"malformed surface {data!r}: need kind and discs") from None
+            raise DomainError(f"malformed surface {data!r}: need kind and a discs list") from None
         discs = tuple(_disc_from_json(d) for d in entries)
         if kind == "plane" and not discs:
             return Surface()
@@ -242,17 +242,24 @@ class MarkedOrbifold:
 
     @staticmethod
     def from_json(data: dict) -> "MarkedOrbifold":
+        try:
+            surface, entries, depth = data["surface"], list(data["marks"]), data["truncation_depth"]
+            complete = data.get("truncation_complete", False)
+        except (KeyError, TypeError):
+            raise DomainError(
+                f"malformed orbifold {data!r}: need surface, a marks list and truncation_depth"
+            ) from None
+        if type(depth) is not int or depth < 0 or type(complete) is not bool:
+            raise DomainError(
+                f"malformed orbifold: truncation_depth {depth!r} must be an int >= 0 and "
+                f"truncation_complete {complete!r} a bool"
+            )
         # the order must be an int; __post_init__ rejects orders below 2
         marks = tuple(
             _entry_from_json(m, lambda nu: type(nu) is int, "[re, im, order] with an integer order")
-            for m in data["marks"]
+            for m in entries
         )
-        return MarkedOrbifold(
-            Surface.from_json(data["surface"]),
-            marks,
-            int(data["truncation_depth"]),
-            bool(data.get("truncation_complete", False)),
-        )
+        return MarkedOrbifold(Surface.from_json(surface), marks, depth, complete)
 
 
 # ---------------------------------------------------------------------------
@@ -817,15 +824,21 @@ def boundary_set(
             if window.r_min <= m <= window.r_max and base.contains(z):
                 pts.append(z)
                 prov.append("surface_boundary")
-    # Preimages of marks deeper than the second-deepest stored orbit point
-    # would already fall inside this window, so flag windows beyond it; a
-    # complete truncation (every orbit closed up) has no missing marks.
-    moduli = sorted(abs(p) for p, _ in base.marks)
-    frontier = moduli[-2] if len(moduli) >= 2 else (moduli[-1] if moduli else 0.0)
-    warning = window.r_max > frontier and not base.truncation_complete
     order = sorted(range(len(pts)), key=lambda i: (abs(pts[i]), pts[i].real, pts[i].imag))
     return BoundarySet(
         points=[pts[i] for i in order],
         provenance=[prov[i] for i in order],
-        truncation_warning=warning,
+        truncation_warning=truncation_warning(base, window.r_max),
     )
+
+
+def truncation_warning(base: MarkedOrbifold, r_max: float) -> bool:
+    """Whether a boundary window reaching out to ``r_max`` may miss marks of ``base``.
+
+    Preimages of marks deeper than the second-deepest stored orbit point
+    would already fall inside such a window, so windows beyond it are
+    flagged; a complete truncation (every orbit closed up) has no missing marks.
+    """
+    moduli = sorted(abs(p) for p, _ in base.marks)
+    frontier = moduli[-2] if len(moduli) >= 2 else (moduli[-1] if moduli else 0.0)
+    return r_max > frontier and not base.truncation_complete

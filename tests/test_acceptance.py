@@ -5,10 +5,8 @@ frozen here; runtime limits are asserted where the criterion states one.
 """
 
 import cmath
-import json
 import math
 import time
-from pathlib import Path
 
 import pytest
 
@@ -16,9 +14,7 @@ from hyporb.bounds import (
     R_of_w,
     default_w_grid,
     lambda_lower,
-    lambda_table,
     ratio_cone_over_disc,
-    ratio_puncture_over_disc,
     ratio_upper,
     verify_bound_chain,
 )

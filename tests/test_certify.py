@@ -136,6 +136,13 @@ def test_scan_empty_boundary_yields_warning_rows(cosh_map, cosh_pair):
     assert math.isnan(rows[0].max_R_bar)
 
 
+def test_scan_rows_warn_for_their_own_window(cosh_map, cosh_pair):
+    # scale t reads the slice [t/8, 6.8 t]: at t = 4 it ends below the
+    # second-deepest mark modulus, at t = 64 beyond it
+    rows = annulus_uniformity_scan(cosh_map, cosh_pair, [4.0, 64.0], samples_per_scale=3)
+    assert [r.truncation_warning for r in rows] == [False, True]
+
+
 def test_certificates_on_all_catalogue_maps(pi_sinh_map, cosh_minus_one_map,
                                             pi_sinh_pair, cosh_minus_one_pair):
     for spec, pair in ((pi_sinh_map, pi_sinh_pair), (cosh_minus_one_map, cosh_minus_one_pair)):

@@ -18,11 +18,18 @@ def test_show_config(capsys):
     out = capsys.readouterr().out
     assert "map = cosh" in out
     assert "depth = 8" in out
+    assert run(["show-config", "--set", "depth=5"]) == 0
+    assert "depth = 5" in capsys.readouterr().out.splitlines()
 
 
 def test_unknown_key_is_usage_error(capsys):
     assert run(["bounds", "--set", "bogus=1"]) == 64
     assert "usage error" in capsys.readouterr().err
+
+
+def test_set_without_equals_is_usage_error(capsys):
+    assert run(["bounds", "--set", "depth"]) == 64
+    assert "--set" in capsys.readouterr().err
 
 
 def test_bad_command_is_usage_error():
@@ -62,12 +69,10 @@ def test_empty_scale_range_is_usage_error(tmp_path, capsys):
 
 def test_malformed_config_file(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("depth 12\n")
-    assert run(["bounds", "--config", str(cfg)]) == 64
-    cfg.write_text("depth = twelve\n")
-    assert run(["bounds", "--config", str(cfg)]) == 64
-    cfg.write_text("unknown_key = 3\n")
-    assert run(["bounds", "--config", str(cfg)]) == 64
+    for text in ("depth 12\n", "depth = twelve\n", "unknown_key = 3\n"):
+        cfg.write_text(text)
+        assert run(["bounds", "--config", str(cfg)]) == 64
+        assert "run.cfg:1" in capsys.readouterr().err
 
 
 def test_config_file_roundtrip(tmp_path):

@@ -1,10 +1,13 @@
-"""Every function, class and method in ``hyporb`` is used by the package itself.
+"""Every function, class and method in ``hyporb`` is used by the package itself,
+and every module of the package and of the tests uses what it imports.
 
 A definition counts as used when its name appears as a ``Name``, an
 ``Attribute`` or an import alias anywhere in ``src/hyporb`` (the ``def`` or
 ``class`` statement itself is none of these), so the re-exports in
 ``hyporb/__init__.py`` count as the public API.  Code that only tests call is
-dead code under this rule.
+dead code under this rule.  An import counts as used when the name it binds
+appears as a ``Name`` in the importing module; ``hyporb/__init__.py``, whose
+imports are the re-exports, and ``from __future__`` imports are exempt.
 """
 
 import ast
@@ -40,5 +43,27 @@ def unreferenced_definitions(package_dir: Path) -> list[str]:
     return dead
 
 
+def unused_imports(path: Path) -> list[str]:
+    tree = ast.parse(path.read_text())
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                if bound not in used:
+                    unused.append(f"{path.name}:{node.lineno} {bound}")
+    return unused
+
+
 def test_every_definition_is_referenced_in_the_package():
     assert unreferenced_definitions(Path(hyporb.__file__).parent) == []
+
+
+def test_every_import_is_used():
+    package = Path(hyporb.__file__).parent
+    modules = [p for p in sorted(package.glob("*.py")) if p.name != "__init__.py"]
+    modules += sorted(Path(__file__).parent.glob("*.py"))
+    assert [name for path in modules for name in unused_imports(path)] == []

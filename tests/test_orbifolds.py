@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from hyporb.errors import CycleCollision, DomainError, EmptyInput, NotFound
 from hyporb.maps import EntireMapSpec, get_map, postsingular_truncation
 from hyporb.orbifolds import (
-    AbsorbingDisc,
     MarkedOrbifold,
     Surface,
     Window,
@@ -278,11 +277,12 @@ def test_marked_orbifold_validation():
         {"kind": "plane_minus_discs", "discs": [[0, 0, True]]},
         {"discs": []},
         {"kind": "plane"},
+        {"kind": "plane_minus_discs", "discs": 5},
     ],
     ids=["disc-without-disc", "disc-with-two-discs", "plane-with-disc", "unknown-kind",
          "two-numbers", "negative-radius", "zero-radius", "four-numbers", "nan-centre",
          "infinite-radius", "string-entry", "number-not-list", "boolean-radius",
-         "no-kind", "no-discs"],
+         "no-kind", "no-discs", "discs-not-list"],
 )
 def test_malformed_surface_json_is_domain_error(surface):
     data = {"surface": surface, "marks": [], "truncation_depth": 0}
@@ -298,6 +298,30 @@ def test_malformed_surface_json_is_domain_error(surface):
 )
 def test_malformed_mark_json_is_domain_error(mark):
     data = {"surface": {"kind": "plane", "discs": []}, "marks": [mark], "truncation_depth": 0}
+    with pytest.raises(DomainError):
+        MarkedOrbifold.from_json(data)
+
+
+_PLANE = {"kind": "plane", "discs": []}
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"surface": _PLANE, "marks": 5, "truncation_depth": 0},
+        [_PLANE, [], 0],
+        {"surface": _PLANE, "marks": []},
+        {"surface": _PLANE, "marks": [], "truncation_depth": "x"},
+        {"surface": _PLANE, "marks": [], "truncation_depth": 2.7},
+        {"surface": _PLANE, "marks": [], "truncation_depth": True},
+        {"surface": _PLANE, "marks": [], "truncation_depth": -1},
+        {"surface": _PLANE, "marks": [], "truncation_depth": 0, "truncation_complete": "no"},
+    ],
+    ids=["marks-not-list", "not-a-dict", "no-depth",
+         "string-depth", "fractional-depth", "boolean-depth", "negative-depth",
+         "string-complete"],
+)
+def test_malformed_orbifold_json_is_domain_error(data):
     with pytest.raises(DomainError):
         MarkedOrbifold.from_json(data)
 
