@@ -97,8 +97,9 @@ def certified_curve_length(
     refinement: float = 1e-3,
     mark_margin: float = 1e-9,
     max_rounds: int = 60,
+    cutoff: float = math.inf,
 ) -> float:
-    """Upper bound for the orbifold length of a polyline.
+    """Upper bound for the orbifold length of a polyline, or ``inf`` once it reaches ``cutoff``.
 
     Segments are bisected (nested, so halving ``refinement`` never increases
     the result) until each piece is shorter than ``refinement``; pieces whose
@@ -113,6 +114,10 @@ def certified_curve_length(
     boundary.  Later rounds bound only the pieces no longer than
     ``refinement``: longer pieces split whatever their bounds say, so bounding
     them would be wasted work.
+
+    The sum of finished pieces never decreases, so the call returns ``inf``
+    as soon as it reaches ``cutoff``: the result is ``inf`` exactly when the
+    length is at least ``cutoff``, and the length itself otherwise.
     """
     if refinement <= 0:
         raise DomainError("refinement must be positive")
@@ -123,33 +128,25 @@ def certified_curve_length(
     a = a_all[keep]
     b = b_all[keep]
     if a.size == 0:
-        return 0.0
+        return 0.0 if 0.0 < cutoff else math.inf
 
     marks = orb.mark_array
-    iso = orb.isolation_radii
-    # One group of marks per ramification order.  A mark with an infinite
-    # isolation radius admits no valid cone witness and joins no group.
-    cone_groups = []
-    for k in sorted(set(orb.mark_orders.tolist())):
-        cols = np.flatnonzero((orb.mark_orders == k) & np.isfinite(iso))
-        if cols.size:
-            eps = iso[cols]
-            # scalar powers: numpy's vectorised array power may differ from
-            # them in the last bit, and per-mark evaluation takes scalar ones
-            eps_root = np.asarray([e ** (1.0 / k) for e in eps])
-            cone_groups.append((k, cols, eps, eps_root))
+    cone_groups = orb.cone_groups
 
     def piece_bounds(a_: np.ndarray, b_: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(sup bound, far-end pointwise bound) per piece."""
         bdy = orb.surface.segment_boundary_distances(a_, b_)
-        if (bdy < mark_margin).any() or (bdy <= 0).any():
+        # vertices are finite, so no NaN hides from these minima
+        closest = bdy.min()
+        if closest < mark_margin or closest <= 0:
             raise DomainError("curve touches the surface boundary")
         if not marks.size:
             return 2.0 / bdy, 2.0 / bdy
         dmin = segment_point_distances(a_, b_, marks)
         dmax = np.maximum(np.abs(a_[:, None] - marks[None, :]), np.abs(b_[:, None] - marks[None, :]))
         nearest = dmin.min(axis=1)
-        if (nearest < mark_margin).any() or (nearest <= 0).any():
+        closest = nearest.min()
+        if closest < mark_margin or closest <= 0:
             raise DomainError("curve touches a mark")
         sup = 2.0 / np.minimum(nearest, bdy)
         far = sup.copy()
@@ -172,22 +169,27 @@ def certified_curve_length(
     for i in range(max_rounds):
         lens = np.abs(b - a)
         split = lens > refinement
-        bounded = np.ones_like(split) if i == 0 else ~split
-        if bounded.any():
+        # after round 0, a round in which every piece is too long only halves
+        if i == 0 or not split.all():
+            bounded = np.ones_like(split) if i == 0 else ~split
             sup, far = piece_bounds(a[bounded], b[bounded])
             split[bounded] |= sup > _TIGHTEN * far
             done = ~split
             total += float((lens[done] * sup[done[bounded]]).sum())
-        if not split.any():
-            break
-        a_s, b_s = a[split], b[split]
-        mid = 0.5 * (a_s + b_s)
-        a = np.concatenate([a_s, mid])
-        b = np.concatenate([mid, b_s])
+            if total >= cutoff:
+                return math.inf
+            if not split.any():
+                break
+            a, b = a[split], b[split]
+        mid = 0.5 * (a + b)
+        a = np.concatenate([a, mid])
+        b = np.concatenate([mid, b])
     else:
         lens = np.abs(b - a)
         sup, _ = piece_bounds(a, b)
         total += float(np.sum(lens * sup))
+        if total >= cutoff:
+            return math.inf
     return total
 
 
@@ -242,8 +244,10 @@ def expansion_certificate(
     Candidate boundary points (nearest by Euclidean distance, plus a
     high-imaginary selection that keeps paths away from mark rows) are joined
     to ``z`` by straight or single-waypoint paths; the smallest certified
-    path length wins.  On a mark-free disc orbifold the exact hyperbolic
-    distance is used, which reproduces the sharp single-cone case.
+    path length wins.  Each path passes the best length so far as its
+    ``cutoff``, so a losing path stops early and the winner is the same.
+    On a mark-free disc orbifold the exact hyperbolic distance is used,
+    which reproduces the sharp single-cone case.
     """
     base, lift = pair
     if not boundary.points:
@@ -285,6 +289,7 @@ def expansion_certificate(
                     PolylineCurve(path_pts),
                     refinement=max(refinement, _path_len(path_pts) / 256.0),
                     mark_margin=margin,
+                    cutoff=math.inf if best is None else best[0],
                 )
             except DomainError:
                 continue

@@ -178,8 +178,8 @@ class MarkedOrbifold:
     ``truncation_complete`` records that every source orbit closed up within
     the truncation (no escaping orbit), so no marks are missing.
 
-    The mark geometry (``mark_array``, ``mark_orders``, ``isolation_radii``)
-    is computed on first use and cached as read-only arrays.
+    The mark geometry (``mark_array``, ``mark_orders``, ``isolation_radii``,
+    ``cone_groups``) is computed on first use and cached as read-only arrays.
     """
 
     surface: Surface
@@ -231,6 +231,26 @@ class MarkedOrbifold:
             for i, p in enumerate(pts)
         ]
         return _readonly(np.asarray(radii, dtype=float))
+
+    @cached_property
+    def cone_groups(self) -> tuple[tuple[float, np.ndarray, np.ndarray, np.ndarray], ...]:
+        """Per ramification order ``k``, ascending: ``(k, cols, eps, eps ** (1/k))``.
+
+        ``cols`` indexes the marks of order ``k`` with a finite isolation
+        radius ``eps``; a mark with an infinite one admits no cone witness and
+        joins no group.
+        """
+        orders, iso = self.mark_orders, self.isolation_radii
+        groups = []
+        for k in sorted(set(orders.tolist())):
+            cols = np.flatnonzero((orders == k) & np.isfinite(iso))
+            if cols.size:
+                eps = iso[cols]
+                # scalar powers: numpy's vectorised array power may differ from
+                # them in the last bit, and per-mark evaluation takes scalar ones
+                eps_root = np.asarray([e ** (1.0 / k) for e in eps])
+                groups.append((k, _readonly(cols), _readonly(eps), _readonly(eps_root)))
+        return tuple(groups)
 
     def to_json(self) -> dict:
         return {

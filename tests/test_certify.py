@@ -3,12 +3,19 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 
+from hyporb import certify
 from hyporb.bounds import lambda_lower
 from hyporb.certify import (
+    _MAX_CANDIDATES,
     BoundarySet,
     CleanDisc,
+    _candidate_paths,
+    _local_isolation,
+    _nearest_first,
+    _path_len,
     annulus_uniformity_scan,
     certified_curve_length,
     expansion_certificate,
@@ -125,6 +132,67 @@ def test_expansion_certificates_on_cosh(cosh_map, cosh_pair):
         assert cert.lambda_bar == lambda_lower(cert.R_bar)
         assert cert.truncation_depth == 8
         assert cert.path.vertices[0] == z
+
+
+def _exhaustive_search(base, z, supply):
+    """``((R_bar, path) or None, paths tried)``: every candidate path certified in full."""
+    pts = supply.points
+    arr = np.asarray(pts, dtype=complex)
+    order = _nearest_first(arr, z)
+    candidates = [pts[i] for i in order[:_MAX_CANDIDATES]]
+    for i in order[np.abs(arr.imag[order]) >= 0.5 * abs(z)][:4]:
+        if pts[i] not in candidates:
+            candidates.append(pts[i])
+    margin = 1e-3 * _local_isolation(base, z)
+    best, tried = None, 0
+    for b in candidates:
+        for path in _candidate_paths(z, b):
+            tried += 1
+            try:
+                length = certified_curve_length(
+                    base, PolylineCurve(path),
+                    refinement=max(1e-3, _path_len(path) / 256.0), mark_margin=margin,
+                )
+            except DomainError:
+                continue
+            if math.isfinite(length) and (best is None or length < best[0]):
+                best = (length, path)
+    return best, tried
+
+
+@pytest.mark.parametrize("name", ["cosh", "pi_sinh", "cosh_minus_one"])
+def test_certificate_search_matches_exhaustive_search(name, request, monkeypatch):
+    spec = request.getfixturevalue(f"{name}_map")
+    pair = request.getfixturevalue(f"{name}_pair")
+    base, lift = pair
+    supply = boundary_set(spec, lift, base, Window(r_max=120.0))
+    rng = np.random.default_rng(17)
+    points = []
+    while len(points) < 25:
+        z = complex(*rng.uniform(-30.0, 30.0, 2))
+        if base.contains(z) and base.ramification(z) == 1 and lift.ramification(z) == 1:
+            points.append(z)
+    expected = [_exhaustive_search(base, z, supply) for z in points]
+
+    # every candidate path is still tried, but a loser stops at the best
+    # length so far: it returns inf, and few paths finish
+    count = {"calls": 0, "finished": 0}
+
+    def counted(*args, **kwargs):
+        count["calls"] += 1
+        length = certified_curve_length(*args, **kwargs)
+        count["finished"] += math.isfinite(length)
+        return length
+
+    monkeypatch.setattr(certify, "certified_curve_length", counted)
+    for z, (best, tried) in zip(points, expected):
+        before = count["calls"]
+        cert = expansion_certificate(pair, z, supply)
+        assert best is not None
+        assert (cert.R_bar, cert.path.vertices) == (best[0], best[1])
+        assert count["calls"] - before == tried
+    # about 36 per certificate without the cutoff
+    assert count["finished"] <= 6 * len(points), count
 
 
 def test_scan_empty_boundary_yields_warning_rows(cosh_map, cosh_pair):

@@ -281,11 +281,28 @@ def _same_length_or_same_error(orb, curve, **kw):
     return True
 
 
+def _cutoff_gives_inf_or_same_length(orb, curve, **kw):
+    """``inf`` when the reference length reaches the cutoff, else the same length."""
+    try:
+        want = curve_length_reference(orb, curve, **kw)
+    except DomainError:
+        for cutoff in (0.0, 1e-6, math.inf):
+            with pytest.raises(DomainError):
+                certified_curve_length(orb, curve, cutoff=cutoff, **kw)
+        return False
+    assert 0.0 < want < math.inf
+    for cutoff in (want, math.nextafter(want, math.inf), want / 2, 2 * want):
+        got = certified_curve_length(orb, curve, cutoff=cutoff, **kw)
+        assert got == (math.inf if want >= cutoff else want), (want, cutoff, got)
+    return True
+
+
 @pytest.mark.parametrize("surface", sorted(_SURFACES))
 def test_mark_geometry_matches_per_mark_loop(surface):
     rng = np.random.default_rng(7)
     orb = _random_orbifold(rng, _SURFACES[surface])
     assert "isolation_radii" not in vars(orb)  # computed on first use only
+    assert "cone_groups" not in vars(orb)
     radii = orb.isolation_radii
     assert list(radii) == [isolation_radius_reference(orb, i) for i in range(len(orb.marks))]
     assert list(orb.mark_array) == [p for p, _ in orb.marks]
@@ -293,6 +310,21 @@ def test_mark_geometry_matches_per_mark_loop(surface):
     assert orb.isolation_radii is radii
     with pytest.raises(ValueError):
         radii[0] = 0.0
+
+    groups = orb.cone_groups
+    assert orb.cone_groups is groups
+    want = []
+    for k in sorted({nu for _, nu in orb.marks}):
+        cols = [i for i, (_, nu) in enumerate(orb.marks)
+                if nu == k and math.isfinite(isolation_radius_reference(orb, i))]
+        if cols:
+            eps = [isolation_radius_reference(orb, i) for i in cols]
+            want.append((k, cols, eps, [e ** (1.0 / k) for e in eps]))
+    assert [(k, list(c), list(e), list(r)) for k, c, e, r in groups] == want
+    for _, *arrays in groups:
+        for arr in arrays:
+            with pytest.raises(ValueError):
+                arr[0] = 0
 
 
 @pytest.mark.parametrize("surface", sorted(_SURFACES))
@@ -314,6 +346,45 @@ def test_certified_length_matches_per_mark_loop_when_rounds_run_out():
     for _ in range(6):
         curve = _random_polyline(rng, orb)
         _same_length_or_same_error(orb, curve, refinement=0.01, max_rounds=4)
+
+
+# Per surface, a segment that leaves it (the plane has no boundary).
+_LEAVING = {
+    "plane": [],
+    "disc": [PolylineCurve([0.3 + 0.1j, 5.0 + 0.1j])],
+    "minus_discs": [PolylineCurve([2.0 + 0.05j, 5.0 + 0.05j])],
+}
+
+
+@pytest.mark.parametrize("surface", sorted(_SURFACES))
+def test_cutoff_returns_inf_or_the_same_length(surface):
+    rng = np.random.default_rng(99)
+    certified = rejected = 0
+    for _ in range(8):
+        orb = _random_orbifold(rng, _SURFACES[surface])
+        p = orb.marks[0][0]
+        curves = [_random_polyline(rng, orb) for _ in range(4)]
+        curves += [PolylineCurve([p - 0.01, p + 0.01])] + _LEAVING[surface]
+        for curve in curves:
+            refinement = float(rng.choice([0.2, 0.05, 0.01]))
+            ok = _cutoff_gives_inf_or_same_length(orb, curve, refinement=refinement)
+            certified += ok
+            rejected += not ok
+    assert certified >= 15
+    assert rejected >= 8  # at least the segment through a mark, per orbifold
+    point = PolylineCurve([0.1 + 0.2j, 0.1 + 0.2j])  # length 0
+    assert certified_curve_length(orb, point, cutoff=1e-300) == 0.0
+    assert certified_curve_length(orb, point, cutoff=0.0) == math.inf
+
+
+def test_cutoff_returns_inf_or_the_same_length_when_rounds_run_out():
+    rng = np.random.default_rng(11)
+    orb = _random_orbifold(rng, Surface())
+    certified = 0
+    for _ in range(6):
+        curve = _random_polyline(rng, orb)
+        certified += _cutoff_gives_inf_or_same_length(orb, curve, refinement=0.01, max_rounds=4)
+    assert certified >= 3
 
 
 def test_certified_length_straddling_isolation_radius():
