@@ -38,7 +38,6 @@ from .models import (
     hyp_distance_disc,
 )
 from .orbifolds import (
-    BoundarySet,
     MarkedOrbifold,
     SeparationReport,
     Window,

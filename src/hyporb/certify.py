@@ -21,7 +21,7 @@ from .curves import PolylineCurve, polyline_point_distance, segment_point_distan
 from .errors import DomainError, PathBlocked
 from .maps import EntireMapSpec, evaluate, nearest_preimage, pullback_curve
 from .models import ConeDisc, cone_density, cone_density_formula, hyp_distance_disc
-from .orbifolds import BoundarySet, MarkedOrbifold, Window, boundary_set, truncation_warning
+from .orbifolds import MarkedOrbifold, Window, boundary_set, truncation_warning
 
 # A piece keeps splitting while its density supremum exceeds this factor times
 # the density at its far end; it bounds the overestimate near singularities.
@@ -235,11 +235,11 @@ def _candidate_paths(z: complex, b: complex) -> list[list[complex]]:
 def expansion_certificate(
     pair: tuple[MarkedOrbifold, MarkedOrbifold],
     z: complex,
-    boundary: BoundarySet,
+    boundary: list[complex],
     refinement: float = 1e-3,
     margin_rel: float = 1e-3,
 ) -> ExpansionCertificate:
-    """Certify an expansion floor at ``z`` from a boundary-point supply.
+    """Certify an expansion floor at ``z`` from a list of boundary points.
 
     Candidate boundary points (nearest by Euclidean distance, plus a
     high-imaginary selection that keeps paths away from mark rows) are joined
@@ -250,7 +250,7 @@ def expansion_certificate(
     which reproduces the sharp single-cone case.
     """
     base, lift = pair
-    if not boundary.points:
+    if not boundary:
         raise PathBlocked("empty boundary set")
     z = complex(z)
     if lift.ramification(z) > 1 or base.ramification(z) > 1:
@@ -260,7 +260,7 @@ def expansion_certificate(
 
     disc = base.surface.outer
     if disc is not None and not base.surface.holes and not base.marks:
-        b = min(boundary.points, key=lambda p: _exact_disc_distance(disc, z, p))
+        b = min(boundary, key=lambda p: _exact_disc_distance(disc, z, p))
         R_bar = _exact_disc_distance(disc, z, b)
         return ExpansionCertificate(
             point=z,
@@ -270,14 +270,13 @@ def expansion_certificate(
             truncation_depth=base.truncation_depth,
         )
 
-    pts = boundary.points
-    arr = np.asarray(pts, dtype=complex)
+    arr = np.asarray(boundary, dtype=complex)
     order = _nearest_first(arr, z)
-    candidates = [pts[i] for i in order[:_MAX_CANDIDATES]]
+    candidates = [boundary[i] for i in order[:_MAX_CANDIDATES]]
     high = order[np.abs(arr.imag[order]) >= 0.5 * abs(z)]
     for i in high[:4]:
-        if pts[i] not in candidates:
-            candidates.append(pts[i])
+        if boundary[i] not in candidates:
+            candidates.append(boundary[i])
 
     margin = margin_rel * _local_isolation(base, z)
     best: tuple[float, list[complex]] | None = None
@@ -359,7 +358,7 @@ def annulus_uniformity_scan(
     For each scale t the boundary supply is the slice [t/8, 4 t max(_RADIUS_FACTORS)]
     of one shared enumeration, and certificates are computed at deterministic
     sample points on the circles |z| = t * _RADIUS_FACTORS.  Each row carries
-    the truncation warning of its own slice.  The tested claim is the absence
+    ``truncation_warning`` of its own slice.  The tested claim is the absence
     of growth of max R_bar across scales.
     """
     base, lift = pair
@@ -374,13 +373,8 @@ def annulus_uniformity_scan(
     shared = boundary_set(map_spec, lift, base, span)
     for t in scales:
         r_lo, r_hi = t / 8.0, 4.0 * t * max(_RADIUS_FACTORS)
-        idx = [i for i, p in enumerate(shared.points) if r_lo <= abs(p) <= r_hi]
-        bset = BoundarySet(
-            points=[shared.points[i] for i in idx],
-            provenance=[shared.provenance[i] for i in idx],
-            truncation_warning=truncation_warning(base, r_hi),
-        )
-        if not bset.points:
+        supply = [p for p in shared if r_lo <= abs(p) <= r_hi]
+        if not supply:
             rows.append(
                 ScanRow(scale=t, max_R_bar=math.nan, min_lambda_bar=math.nan, samples=0,
                         truncation_warning=True)
@@ -394,7 +388,7 @@ def annulus_uniformity_scan(
                 z = t * f * complex(math.cos(theta), math.sin(theta))
                 if base.ramification(z) > 1 or lift.ramification(z) > 1:
                     continue
-                cert = expansion_certificate(pair, z, bset, refinement=refinement)
+                cert = expansion_certificate(pair, z, supply, refinement=refinement)
                 worst_R = max(worst_R, cert.R_bar)
                 best_lambda = min(best_lambda, cert.lambda_bar)
                 n += 1
@@ -404,7 +398,7 @@ def annulus_uniformity_scan(
                 max_R_bar=worst_R,
                 min_lambda_bar=best_lambda,
                 samples=n,
-                truncation_warning=bset.truncation_warning,
+                truncation_warning=truncation_warning(base, r_hi),
             )
         )
     return rows
@@ -438,21 +432,17 @@ def spearman_rank_correlation(xs: list[float], ys: list[float]) -> float:
 
 
 @dataclass
-class PullbackRow:
-    k: int
-    length_bound: float
-
-
-@dataclass
 class PullbackResult:
-    rows: list[PullbackRow]
+    """``lengths[k]``: certified length of the k-th pullback (``lengths[0]`` of curve0)."""
+
+    lengths: list[float]
     decay_rate: float
     forward_residual: float
 
     def ratios(self) -> list[tuple[int, float]]:
         return [
-            (r1.k, r1.length_bound / r0.length_bound if r0.length_bound > 0 else math.nan)
-            for r0, r1 in zip(self.rows, self.rows[1:])
+            (k, l1 / l0 if l0 > 0 else math.nan)
+            for k, (l0, l1) in enumerate(zip(self.lengths, self.lengths[1:]), 1)
         ]
 
 
@@ -472,14 +462,12 @@ def pullback_shrinking_experiment(
     worst forward-mapping residual of the deepest curve against curve0.
     """
     base, _ = pair
-    rows = [PullbackRow(k=0, length_bound=certified_curve_length(base, curve0, refinement))]
+    lengths = [certified_curve_length(base, curve0, refinement)]
     curves = [curve0]
     seed = complex(branch_seed)
     for k in range(1, k_max + 1):
         lifted = pullback_curve(map_spec, curves[-1], seed, tol=_PULLBACK_NEWTON_TOL)
-        rows.append(
-            PullbackRow(k=k, length_bound=certified_curve_length(base, lifted, refinement))
-        )
+        lengths.append(certified_curve_length(base, lifted, refinement))
         curves.append(lifted)
         if k < k_max:
             seed = nearest_preimage(map_spec, lifted.vertices[0])
@@ -493,12 +481,12 @@ def pullback_shrinking_experiment(
             w = evaluate(map_spec, w)
         residual = max(residual, polyline_point_distance(curve0, w))
 
-    lengths = [r.length_bound for r in rows if r.length_bound > 0]
-    if len(lengths) >= 3:
-        logs = np.log(lengths[1:])
-        ks = np.arange(1, len(lengths))
+    positive = [v for v in lengths if v > 0]
+    if len(positive) >= 3:
+        logs = np.log(positive[1:])
+        ks = np.arange(1, len(positive))
         slope = float(np.polyfit(ks, logs, 1)[0])
         rate = math.exp(slope)
     else:
         rate = math.nan
-    return PullbackResult(rows=rows, decay_rate=rate, forward_residual=residual)
+    return PullbackResult(lengths=lengths, decay_rate=rate, forward_residual=residual)

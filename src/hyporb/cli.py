@@ -96,7 +96,7 @@ class RunConfig:
                 raise UsageError(f"config key {name} must be positive")
         if self.K <= 1:
             raise UsageError("config key K must exceed 1")
-        for name in ("depth", "w_points", "k_max", "r_points", "sample_count",
+        for name in ("depth", "w_points", "k_max", "sample_count",
                      "samples_per_scale", "pullback_kmax", "homotopy_n_max"):
             if getattr(self, name) < 1:
                 raise UsageError(f"config key {name} must be >= 1")
@@ -104,6 +104,10 @@ class RunConfig:
             raise UsageError(
                 f"config key w_points must be <= {bnd.MAX_W_POINTS} (the grid w = 0.001*j stays below 1)"
             )
+        if self.r_min >= self.r_max:
+            raise UsageError("config key r_min must be below r_max")
+        if self.r_points < 2:
+            raise UsageError("config key r_points must be >= 2")
         if self.scale_min_exp > self.scale_max_exp:
             raise UsageError("config key scale_min_exp must not exceed scale_max_exp")
         if self.format not in ("json", "csv", "both"):
@@ -332,14 +336,14 @@ def cmd_pullback(cfg: RunConfig) -> int:
         "map": cfg.map,
         "curve0": [[v.real, v.imag] for v in curve0.vertices],
         "branch_seed": [seed.real, seed.imag],
-        "lengths": [r.length_bound for r in result.rows],
+        "lengths": result.lengths,
         "ratios": [{"k": k, "ratio": v} for k, v in ratios],
         "decay_rate": result.decay_rate,
         "forward_residual": result.forward_residual,
         "monotone_after_burn_in": not bad,
     }
     _write(cfg, "pullback", payload, ["k", "length_bound"],
-           [[r.k, r.length_bound] for r in result.rows])
+           [[k, v] for k, v in enumerate(result.lengths)])
     print(f"pullback[{cfg.map}]: rate {_fmt(result.decay_rate)}, "
           f"forward residual {_fmt(result.forward_residual)}")
     return 0 if not bad else 2

@@ -234,12 +234,11 @@ OrbitStatus = Escaped | Preperiodic | Undetermined
 
 @dataclass
 class OrbitRecord:
-    """Forward orbit of a seed with its truncation-relative classification.
+    """Forward orbit ``points`` of ``points[0]`` with its truncation-relative classification.
 
     ``attracting``: the orbit falls into an attracting cycle (see ``iterate_orbit``).
     """
 
-    seed: complex
     points: list[complex]
     status: OrbitStatus
     attracting: bool = False
@@ -299,7 +298,7 @@ def iterate_orbit(
             break
     if status is None:
         status = Undetermined(depth)
-    record = OrbitRecord(seed=complex(seed), points=pts, status=status)
+    record = OrbitRecord(points=pts, status=status)
     cyc = record.cycle_points()
     record.attracting = bool(cyc) and abs(cycle_multiplier(map_spec, cyc)) < 1.0 - 1e-9
     return record

@@ -449,6 +449,16 @@ class AbsorbingDisc:
     boundary_sup: float
 
 
+def _image_sup(
+    map_spec: EntireMapSpec, center: complex, r: float, samples: int, target: complex
+) -> float:
+    """max |f(z) - target| over ``samples`` points of |z - center| = r; inf on overflow."""
+    try:
+        return max(abs(evaluate(map_spec, z) - target) for z in _circle(center, r, samples))
+    except (Overflow, OverflowError):
+        return math.inf
+
+
 def find_absorbing_disc(
     map_spec: EntireMapSpec,
     attracting_point: complex,
@@ -457,7 +467,7 @@ def find_absorbing_disc(
     """Smallest grid radius whose disc about the attracting point maps inside itself.
 
     Certification samples the image of the boundary circle and requires
-    sup |f(z) - p| < r (1 - 1e-6).
+    sup |f(z) - p| < r (1 - 1e-6); a circle whose samples overflow fails.
     """
     p = complex(attracting_point)
     if abs(evaluate(map_spec, p) - p) > 1e-9:
@@ -465,7 +475,7 @@ def find_absorbing_disc(
     if abs(map_spec.deriv(p)) >= 1.0:
         raise DomainError("attracting_point is not attracting")
     for r in sorted(r_grid):
-        sup = max(abs(evaluate(map_spec, z) - p) for z in _circle(p, r, _ABSORB_SAMPLES))
+        sup = _image_sup(map_spec, p, r, _ABSORB_SAMPLES, p)
         if sup < r * (1.0 - 1e-6):
             return AbsorbingDisc(center=p, radius=float(r), boundary_sup=sup)
     raise NotFound(f"no radius in {r_grid!r} certifies an absorbing disc")
@@ -682,19 +692,11 @@ def _certify_preimage_disc(
     disc: AbsorbingDisc,
 ) -> float | None:
     """Largest grid radius r with f(D_r(pre)) inside the absorbing disc."""
-    best = None
     for r in (disc.radius, disc.radius * 0.5, disc.radius * 0.25):
-        try:
-            sup = max(
-                abs(evaluate(map_spec, z) - disc.center)
-                for z in _circle(pre, r, _LIFT_DISC_SAMPLES)
-            )
-        except (Overflow, OverflowError):
-            continue
+        sup = _image_sup(map_spec, pre, r, _LIFT_DISC_SAMPLES, disc.center)
         if sup < disc.radius * (1.0 - 1e-6):
-            best = r
-            break
-    return best
+            return r
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -787,39 +789,26 @@ class Window:
             raise DomainError("need 0 <= r_min < r_max")
 
 
-@dataclass
-class BoundarySet:
-    """Points of the lift-in-base boundary: extra ramification and surface boundary."""
-
-    points: list[complex]
-    provenance: list[str]  # "extra_ramification" | "surface_boundary"
-    truncation_warning: bool = False
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-
 def boundary_set(
     map_spec: EntireMapSpec,
     lift: MarkedOrbifold,
     base: MarkedOrbifold,
     window: Window,
-) -> BoundarySet:
-    """Enumerate boundary points of the lift inside the base within a window.
+) -> list[complex]:
+    """Boundary points of the lift inside the base within a window, sorted by (|z|, re, im).
 
     Extra-ramification points are the preimages of base marks whose lift
     ramification exceeds their base ramification; surface-boundary points are
-    sampled on removed-disc boundaries of the lift.  A truncation warning is
-    attached when the window reaches beyond the stored mark moduli.
+    sampled on removed-disc boundaries of the lift.  Whether the window may
+    miss marks is ``truncation_warning(base, window.r_max)``.
     """
-    pts: list[complex] = []
-    prov: list[str] = []
     if (
         base.marks == lift.marks
         and base.surface.within(lift.surface)
         and lift.surface.within(base.surface)
     ):
-        return BoundarySet([], [], truncation_warning=False)
+        return []
+    pts: list[complex] = []
 
     def in_both(z: complex) -> bool:
         return base.contains(z) and lift.contains(z)
@@ -832,7 +821,6 @@ def boundary_set(
         ):
             if nu_tilde > base.ramification(z):
                 pts.append(z)
-                prov.append("extra_ramification")
     for c, r in lift.surface.holes:
         shared = any(
             abs(c - cb) <= SAME_POINT_TOL and abs(r - rb) <= 1e-12 for cb, rb in base.surface.holes
@@ -843,13 +831,8 @@ def boundary_set(
             m = abs(z)
             if window.r_min <= m <= window.r_max and base.contains(z):
                 pts.append(z)
-                prov.append("surface_boundary")
-    order = sorted(range(len(pts)), key=lambda i: (abs(pts[i]), pts[i].real, pts[i].imag))
-    return BoundarySet(
-        points=[pts[i] for i in order],
-        provenance=[prov[i] for i in order],
-        truncation_warning=truncation_warning(base, window.r_max),
-    )
+    pts.sort(key=lambda z: (abs(z), z.real, z.imag))
+    return pts
 
 
 def truncation_warning(base: MarkedOrbifold, r_max: float) -> bool:

@@ -10,7 +10,6 @@ from hyporb import certify
 from hyporb.bounds import lambda_lower
 from hyporb.certify import (
     _MAX_CANDIDATES,
-    BoundarySet,
     CleanDisc,
     _candidate_paths,
     _local_isolation,
@@ -96,7 +95,7 @@ def test_certified_length_rejects_mark_touch(cone_orb):
 def test_expansion_certificate_sharp_case():
     base = MarkedOrbifold(Surface(outer=(0j, 1.0)), ())
     lift = MarkedOrbifold(Surface(outer=(0j, 1.0)), ((0j, 2),))
-    supply = BoundarySet(points=[0j], provenance=["extra_ramification"])
+    supply = [0j]
     cert = expansion_certificate((base, lift), 0.5 + 0j, supply)
     assert abs(cert.R_bar - LOG3) < 1e-12
     assert abs(cert.lambda_bar - SHARP_HALF) < 1e-12
@@ -109,13 +108,13 @@ def test_expansion_certificate_requires_boundary():
     base = MarkedOrbifold(Surface(outer=(0j, 1.0)), ())
     lift = MarkedOrbifold(Surface(outer=(0j, 1.0)), ((0j, 2),))
     with pytest.raises(PathBlocked):
-        expansion_certificate((base, lift), 0.5 + 0j, BoundarySet([], []))
+        expansion_certificate((base, lift), 0.5 + 0j, [])
 
 
 def test_expansion_certificate_monotone_in_distance():
     base = MarkedOrbifold(Surface(outer=(0j, 1.0)), ())
     lift = MarkedOrbifold(Surface(outer=(0j, 1.0)), ((0j, 2),))
-    supply = BoundarySet(points=[0j], provenance=["extra_ramification"])
+    supply = [0j]
     c1 = expansion_certificate((base, lift), 0.3 + 0j, supply)
     c2 = expansion_certificate((base, lift), 0.6 + 0j, supply)
     assert c1.R_bar < c2.R_bar
@@ -136,13 +135,12 @@ def test_expansion_certificates_on_cosh(cosh_map, cosh_pair):
 
 def _exhaustive_search(base, z, supply):
     """``((R_bar, path) or None, paths tried)``: every candidate path certified in full."""
-    pts = supply.points
-    arr = np.asarray(pts, dtype=complex)
+    arr = np.asarray(supply, dtype=complex)
     order = _nearest_first(arr, z)
-    candidates = [pts[i] for i in order[:_MAX_CANDIDATES]]
+    candidates = [supply[i] for i in order[:_MAX_CANDIDATES]]
     for i in order[np.abs(arr.imag[order]) >= 0.5 * abs(z)][:4]:
-        if pts[i] not in candidates:
-            candidates.append(pts[i])
+        if supply[i] not in candidates:
+            candidates.append(supply[i])
     margin = 1e-3 * _local_isolation(base, z)
     best, tried = None, 0
     for b in candidates:
@@ -243,7 +241,7 @@ def test_pullback_constant_curve(cosh_map, cosh_pair):
         key=lambda p: (abs(p - (2.0 + 1.0j)), p.real, p.imag),
     )
     result = pullback_shrinking_experiment(cosh_map, cosh_pair, curve, seed, k_max=3)
-    assert all(r.length_bound == 0.0 for r in result.rows)
+    assert result.lengths == [0.0] * 4
 
 
 def test_pullback_shrinking_default_route(cosh_map, cosh_pair):

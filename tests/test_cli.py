@@ -50,8 +50,11 @@ def test_w_points_beyond_grid_is_usage_error(tmp_path, capsys):
         ("separation", ["--set", "escape_radius=nan"], "escape_radius"),
         ("expansion", ["--set", "sample_r_max=inf"], "sample_r_max"),
         ("separation", ["--map", "frob"], "map"),
+        ("bounds", ["--set", "r_min=9"], "r_min"),
+        ("bounds", ["--set", "r_points=1"], "r_points"),
     ],
-    ids=["nan-K", "nan-escape-radius", "infinite-sample-r-max", "unknown-map"],
+    ids=["nan-K", "nan-escape-radius", "infinite-sample-r-max", "unknown-map",
+         "r-min-above-r-max", "one-r-point"],
 )
 def test_non_finite_value_or_unknown_map_is_usage_error(tmp_path, capsys, command, setting, key):
     assert run([command, "--output", str(tmp_path)] + setting) == 64

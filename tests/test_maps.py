@@ -201,9 +201,9 @@ def test_attracting_cycle_points_are_listed_once():
     # the second one 1e-12 off; a repelling orbit through b adds nothing
     a, b = 0.25 + 0.5j, -0.75 + 0j
     records = {
-        1.0: OrbitRecord(1.0, [1.0, a, b], Preperiodic(1, 2), attracting=True),
-        2.0: OrbitRecord(2.0, [2.0, b + 1e-12, a], Preperiodic(1, 2), attracting=True),
-        3.0: OrbitRecord(3.0, [3.0, b, 7.0], Preperiodic(1, 2), attracting=False),
+        1.0: OrbitRecord([1.0, a, b], Preperiodic(1, 2), attracting=True),
+        2.0: OrbitRecord([2.0, b + 1e-12, a], Preperiodic(1, 2), attracting=True),
+        3.0: OrbitRecord([3.0, b, 7.0], Preperiodic(1, 2), attracting=False),
     }
     trunc = TruncatedPostsingular(3, [], records)
     assert trunc.attracting_cycle_points() == [a, b]

@@ -22,6 +22,7 @@ from hyporb.orbifolds import (
     find_repelling_cycle,
     pairwise_separation,
     separation_report,
+    truncation_warning,
 )
 
 PI = math.pi
@@ -131,29 +132,30 @@ def test_boundary_set_cosh_window(cosh_map, cosh_pair):
     base, lift = cosh_pair
     bset = boundary_set(cosh_map, lift, base, Window(r_max=8.0, r_min=1.0))
     assert len(bset) > 0
-    assert not bset.truncation_warning
-    assert all(tag == "extra_ramification" for tag in bset.provenance)
+    assert bset == sorted(bset, key=lambda z: (abs(z), z.real, z.imag))
+    assert not truncation_warning(base, 8.0)
+    # the lift removes no discs, so every point is an extra-ramification point
+    assert lift.surface.holes == ()
     # reflected orbit points are genuine extra-ramification points
-    assert any(abs(p + 1.5430806348152437) < 1e-6 for p in bset.points)
+    assert any(abs(p + 1.5430806348152437) < 1e-6 for p in bset)
     # preimages on the period lattice near 2 pi i
-    assert any(abs(p - (1.0 + 2j * PI)) < 1e-6 for p in bset.points)
-    for p in bset.points:
+    assert any(abs(p - (1.0 + 2j * PI)) < 1e-6 for p in bset)
+    for p in bset:
         assert base.ramification(p) == 1
+        assert lift.ramification(p) > 1
 
 
 def test_boundary_set_identity_pair_empty(cosh_pair, cosh_map):
     base, _ = cosh_pair
     bset = boundary_set(cosh_map, base, base, Window(r_max=10.0))
-    assert len(bset) == 0
+    assert bset == []
 
 
-def test_boundary_set_truncation_warning(cosh_map, cosh_pair):
+def test_boundary_set_truncation_warning(cosh_pair):
     # the deepest resolvable window ends at the second-largest mark modulus
-    base, lift = cosh_pair
-    bset = boundary_set(cosh_map, lift, base, Window(r_max=500.0))
-    assert bset.truncation_warning
-    bset2 = boundary_set(cosh_map, lift, base, Window(r_max=150.0))
-    assert not bset2.truncation_warning
+    base, _ = cosh_pair
+    assert truncation_warning(base, 500.0)
+    assert not truncation_warning(base, 150.0)
 
 
 def test_complete_truncation_never_warns(pi_sinh_map, pi_sinh_pair):
@@ -161,7 +163,7 @@ def test_complete_truncation_never_warns(pi_sinh_map, pi_sinh_pair):
     base, lift = pi_sinh_pair
     assert base.truncation_complete
     bset = boundary_set(pi_sinh_map, lift, base, Window(r_max=300.0))
-    assert not bset.truncation_warning
+    assert not truncation_warning(base, 300.0)
     assert len(bset) > 0
 
 
@@ -203,6 +205,16 @@ def test_absorbing_disc_examples(cosh_minus_one_map):
     assert d2.radius == 1.0 and abs(d2.boundary_sup - 0.5) < 1e-12
 
 
+def test_absorbing_disc_overflow_is_not_found():
+    # z/2 inside |z| < 0.75, overflowing beyond: the circle |z| = 1, which z/2
+    # alone maps inside itself, cannot be sampled, so the search reports NotFound
+    stub = dataclasses.replace(
+        _linear_half_map(), eval=lambda z: 0.5 * z if abs(z) < 0.75 else complex(math.inf, 0.0)
+    )
+    with pytest.raises(NotFound):
+        find_absorbing_disc(stub, 0j, r_grid=(1.0,))
+
+
 def test_absorbing_disc_rejects_repelling(cosh_minus_one_map):
     with pytest.raises(DomainError):
         find_absorbing_disc(cosh_minus_one_map, 1.6161330104745745 + 0j)
@@ -233,7 +245,7 @@ def test_cosh_minus_one_surface(cosh_minus_one_pair):
     bset = boundary_set(
         get_map("cosh_minus_one"), lift, base, Window(r_max=10.0, r_min=0.1)
     )
-    assert any(tag == "surface_boundary" for tag in bset.provenance)
+    assert any(abs(abs(p - c) - r) <= 1e-12 for p in bset for c, r in lift.surface.holes)
 
 
 def test_orbifold_json_round_trip(cosh_pair, cosh_minus_one_pair):
