@@ -40,7 +40,6 @@ from .models import (
 from .orbifolds import (
     MarkedOrbifold,
     SeparationReport,
-    Window,
     boundary_set,
     build_associated_orbifold,
     check_covering_relation,

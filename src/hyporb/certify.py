@@ -21,7 +21,7 @@ from .curves import PolylineCurve, polyline_point_distance, segment_point_distan
 from .errors import DomainError, PathBlocked
 from .maps import EntireMapSpec, evaluate, nearest_preimage, pullback_curve
 from .models import ConeDisc, cone_density, cone_density_formula, hyp_distance_disc
-from .orbifolds import MarkedOrbifold, Window, boundary_set, truncation_warning
+from .orbifolds import MarkedOrbifold, boundary_set, truncation_warning
 
 # A piece keeps splitting while its density supremum exceeds this factor times
 # the density at its far end; it bounds the overestimate near singularities.
@@ -29,6 +29,10 @@ _TIGHTEN = 1.02
 # Nearest boundary points tried per expansion certificate (before the
 # high-imaginary extras).
 _MAX_CANDIDATES = 12
+# An expansion-certificate path keeps this fraction of the distance from its
+# start to the nearest base mark (to the surface boundary on a mark-free base)
+# away from every mark and the boundary; a closer path is rejected in round 0.
+_MARGIN_REL = 1e-3
 # Sample circles of the annulus scan, as multiples of each scale.
 _RADIUS_FACTORS = (1.0, 1.3, 1.7)
 # Newton residual tolerance of each inverse-branch pullback step.
@@ -237,7 +241,6 @@ def expansion_certificate(
     z: complex,
     boundary: list[complex],
     refinement: float = 1e-3,
-    margin_rel: float = 1e-3,
 ) -> ExpansionCertificate:
     """Certify an expansion floor at ``z`` from a list of boundary points.
 
@@ -278,7 +281,7 @@ def expansion_certificate(
         if boundary[i] not in candidates:
             candidates.append(boundary[i])
 
-    margin = margin_rel * _local_isolation(base, z)
+    margin = _MARGIN_REL * _local_isolation(base, z)
     best: tuple[float, list[complex]] | None = None
     for b in candidates:
         for path_pts in _candidate_paths(z, b):
@@ -366,11 +369,7 @@ def annulus_uniformity_scan(
     n_angles = max(1, samples_per_scale // len(_RADIUS_FACTORS))
     angles = sample_angles(n_angles)
     # One shared boundary enumeration covering every scale window.
-    span = Window(
-        r_max=4.0 * max(scales) * max(_RADIUS_FACTORS),
-        r_min=min(scales) / 8.0,
-    )
-    shared = boundary_set(map_spec, lift, base, span)
+    shared = boundary_set(map_spec, lift, base, 4.0 * max(scales) * max(_RADIUS_FACTORS))
     for t in scales:
         r_lo, r_hi = t / 8.0, 4.0 * t * max(_RADIUS_FACTORS)
         supply = [p for p in shared if r_lo <= abs(p) <= r_hi]

@@ -38,7 +38,6 @@ from .maps import catalogue, get_map, nearest_preimage, postsingular_truncation
 from .orbifolds import (
     MarkedOrbifold,
     Surface,
-    Window,
     boundary_set,
     build_associated_orbifold,
     check_covering_relation,
@@ -62,7 +61,6 @@ class RunConfig:
     r_max: float = 8.0
     r_points: int = 160
     refinement: float = 1e-3
-    margin_rel: float = 1e-3
     seed: int = 1234
     sample_count: int = 40
     sample_r_min: float = 2.0
@@ -88,12 +86,14 @@ class RunConfig:
             if isinstance(value, float) and not math.isfinite(value):
                 raise UsageError(f"config key {f.name} must be finite")
         numeric_positive = (
-            "escape_radius", "refinement", "margin_rel", "homotopy_eps",
+            "refinement", "homotopy_eps",
             "sample_r_min", "sample_r_max", "r_min", "r_max",
         )
         for name in numeric_positive:
             if getattr(self, name) <= 0:
                 raise UsageError(f"config key {name} must be positive")
+        if self.escape_radius <= 1:
+            raise UsageError("config key escape_radius must exceed 1")
         if self.K <= 1:
             raise UsageError("config key K must exceed 1")
         for name in ("depth", "w_points", "k_max", "sample_count",
@@ -289,10 +289,9 @@ def sample_points(cfg: RunConfig) -> list[complex]:
 def cmd_expansion(cfg: RunConfig) -> int:
     spec, pair = _build_pair(cfg)
     base, lift = pair
-    window = Window(r_max=8.0 * cfg.sample_r_max, r_min=0.0)
-    supply = boundary_set(spec, lift, base, window)
+    supply = boundary_set(spec, lift, base, 8.0 * cfg.sample_r_max)
     certs = [
-        expansion_certificate(pair, z, supply, refinement=cfg.refinement, margin_rel=cfg.margin_rel)
+        expansion_certificate(pair, z, supply, refinement=cfg.refinement)
         for z in sample_points(cfg)
     ]
     min_lambda = min(c.lambda_bar for c in certs)

@@ -33,9 +33,9 @@ class EntireMapSpec:
 
     ``critical_value_witnesses`` pairs each critical value (the catalogue maps
     have no other singular values) with one critical point mapping onto it,
-    and ``preimages(value, r_max, r_min)`` enumerates the full preimage set of
-    a value inside an annulus, using the closed-form inverse branches plus the
-    2*pi*i period lattice.
+    and ``preimages(value, r_max)`` enumerates the full preimage set of a
+    value in the disc |z| <= r_max + 1e-9, using the closed-form inverse
+    branches plus the 2*pi*i period lattice.
     """
 
     name: str
@@ -43,18 +43,13 @@ class EntireMapSpec:
     deriv: Callable[[complex], complex]
     deriv2: Callable[[complex], complex]
     critical_value_witnesses: tuple[tuple[complex, complex], ...]
-    preimages: Callable[[complex, float, float], list[complex]]
+    preimages: Callable[[complex, float], list[complex]]
 
 
 def _k_range(imag_center: float, span: float) -> range:
     k_lo = math.floor((-span - imag_center) / _TWO_PI) - 1
     k_hi = math.ceil((span - imag_center) / _TWO_PI) + 1
     return range(k_lo, k_hi + 1)
-
-
-def _in_annulus(z: complex, r_max: float, r_min: float) -> bool:
-    m = abs(z)
-    return r_min - 1e-9 <= m <= r_max + 1e-9
 
 
 class PointSet:
@@ -121,13 +116,13 @@ def _pi_sinh_bases(target: complex) -> tuple[complex, complex]:
     return w0, 1j * math.pi - w0
 
 
-def _lattice_preimages(bases: tuple[complex, ...], r_max: float, r_min: float) -> list[complex]:
-    """Points base + 2*pi*i*k in the annulus r_min <= |z| <= r_max, sorted by (|z|, re, im)."""
+def _lattice_preimages(bases: tuple[complex, ...], r_max: float) -> list[complex]:
+    """Points base + 2*pi*i*k with |z| <= r_max + 1e-9, sorted by (|z|, re, im)."""
     pts: list[complex] = []
     for base in bases:
         for k in _k_range(base.imag, r_max):
             z = base + _TWO_PI * 1j * k
-            if _in_annulus(z, r_max, r_min):
+            if abs(z) <= r_max + 1e-9:
                 pts.append(z)
     pts = PointSet(pts).points
     pts.sort(key=lambda z: (abs(z), z.real, z.imag))
@@ -141,7 +136,7 @@ def _make_cosh() -> EntireMapSpec:
         deriv=cmath.sinh,
         deriv2=cmath.cosh,
         critical_value_witnesses=((-1.0 + 0j, 1j * math.pi), (1.0 + 0j, 0j)),
-        preimages=lambda v, r_max, r_min: _lattice_preimages(_cosh_bases(v), r_max, r_min),
+        preimages=lambda v, r_max: _lattice_preimages(_cosh_bases(v), r_max),
     )
 
 
@@ -153,7 +148,7 @@ def _make_pi_sinh() -> EntireMapSpec:
         deriv=lambda z: pi * cmath.cosh(z),
         deriv2=lambda z: pi * cmath.sinh(z),
         critical_value_witnesses=((-1j * pi, -1j * pi / 2), (1j * pi, 1j * pi / 2)),
-        preimages=lambda v, r_max, r_min: _lattice_preimages(_pi_sinh_bases(v), r_max, r_min),
+        preimages=lambda v, r_max: _lattice_preimages(_pi_sinh_bases(v), r_max),
     )
 
 
@@ -164,7 +159,7 @@ def _make_cosh_minus_one() -> EntireMapSpec:
         deriv=cmath.sinh,
         deriv2=cmath.cosh,
         critical_value_witnesses=((-2.0 + 0j, 1j * math.pi), (0j, 0j)),
-        preimages=lambda v, r_max, r_min: _lattice_preimages(_cosh_bases(v + 1.0), r_max, r_min),
+        preimages=lambda v, r_max: _lattice_preimages(_cosh_bases(v + 1.0), r_max),
     )
 
 
@@ -401,7 +396,7 @@ def nearest_preimage(map_spec: EntireMapSpec, a: complex) -> complex:
 
     This seeds the inverse branch of a pullback; raises NotFound when there is none.
     """
-    pres = map_spec.preimages(a, abs(a) + 12.0, 0.0)
+    pres = map_spec.preimages(a, abs(a) + 12.0)
     if not pres:
         raise NotFound(f"no preimage of {a!r} within |z| <= |a| + 12")
     return min(pres, key=lambda p: (abs(p - a), p.real, p.imag))

@@ -536,27 +536,25 @@ def _build_orbit_graph(
 def _chain_lcm(nodes: list[_GraphNode]) -> list[int]:
     """lcm of degree products over all orbit-graph chains ending at each node.
 
-    D(z) = lcm over edges u -> z of deg(u) * max(D(u), 1); iterated to the
-    fixed point, which exists because every value divides lcm(1..C).
+    D(z) = lcm over edges u -> z of deg(u) * D(u), starting from D = 1 (a node
+    no chain reaches keeps 1); iterated to the fixed point, which exists
+    because every value divides lcm(1..C).
     """
     n = len(nodes)
     D = [1] * n
-    has_chain = [False] * n
     for _ in range(n + 1):
         changed = False
         for i, node in enumerate(nodes):
             j = node.image
             if j is None:
                 continue
-            contrib = node.degree * (D[i] if has_chain[i] else 1)
-            new = math.lcm(D[j], contrib) if has_chain[j] else contrib
-            if not has_chain[j] or new != D[j]:
+            new = math.lcm(D[j], node.degree * D[i])
+            if new != D[j]:
                 D[j] = new
-                has_chain[j] = True
                 changed = True
         if not changed:
             break
-    return [D[i] if has_chain[i] else 1 for i in range(n)]
+    return D
 
 
 def build_associated_orbifold(
@@ -603,7 +601,7 @@ def build_associated_orbifold(
     for q in sorted(trunc.attracting_cycle_points(), key=lambda z: (abs(z), z.real, z.imag)):
         disc = find_absorbing_disc(map_spec, q)
         holes.append((disc.center, disc.radius))
-        for pre in map_spec.preimages(q, _LIFT_WINDOW_RADIUS, 0.0):
+        for pre in map_spec.preimages(q, _LIFT_WINDOW_RADIUS):
             r_pre = _certify_preimage_disc(map_spec, pre, disc)
             if r_pre is not None:
                 lift_holes.append((pre, r_pre))
@@ -635,7 +633,7 @@ def build_associated_orbifold(
             # Image beyond truncation: every chain into it extends a chain
             # through this node, so its ramification is divisible by
             # deg(node) * D(node); the quotient below is then D(node).
-            nu_image = node.degree * max(D[i], 1)
+            nu_image = node.degree * D[i]
         else:
             continue
         if nu_image % node.degree != 0:
@@ -649,7 +647,7 @@ def build_associated_orbifold(
     # feed the boundary set.
     for value, nu_value in base.marks:
         for z, nu_tilde in _mark_preimages(
-            map_spec, value, nu_value, _LIFT_WINDOW_RADIUS, 0.0, base.contains
+            map_spec, value, nu_value, _LIFT_WINDOW_RADIUS, base.contains
         ):
             add_lift_mark(z, nu_tilde)
 
@@ -667,15 +665,14 @@ def _mark_preimages(
     value: complex,
     nu_value: int,
     r_max: float,
-    r_min: float,
     keep: Callable[[complex], bool],
 ) -> Iterator[tuple[complex, int]]:
-    """Preimages z of a mark in the annulus that pass ``keep``, with nu / deg(f, z).
+    """Preimages z of a mark in the disc |z| <= r_max that pass ``keep``, with nu / deg(f, z).
 
     ``keep`` is tested before the local degree; a degree that does not divide
     the mark's ramification raises DivisibilityError.
     """
-    for z in map_spec.preimages(value, r_max, r_min):
+    for z in map_spec.preimages(value, r_max):
         if not keep(z):
             continue
         deg = local_degree(map_spec, z)
@@ -777,31 +774,22 @@ def check_holomorphic_inclusion(lift: MarkedOrbifold, base: MarkedOrbifold) -> C
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Window:
-    """Disc (r_min = 0) or annulus window for boundary-set enumeration."""
-
-    r_max: float
-    r_min: float = 0.0
-
-    def __post_init__(self):
-        if self.r_max <= self.r_min or self.r_max <= 0:
-            raise DomainError("need 0 <= r_min < r_max")
-
-
 def boundary_set(
     map_spec: EntireMapSpec,
     lift: MarkedOrbifold,
     base: MarkedOrbifold,
-    window: Window,
+    r_max: float,
 ) -> list[complex]:
-    """Boundary points of the lift inside the base within a window, sorted by (|z|, re, im).
+    """Boundary points of the lift inside the base with |z| <= r_max, sorted by (|z|, re, im).
 
     Extra-ramification points are the preimages of base marks whose lift
     ramification exceeds their base ramification; surface-boundary points are
-    sampled on removed-disc boundaries of the lift.  Whether the window may
-    miss marks is ``truncation_warning(base, window.r_max)``.
+    sampled on removed-disc boundaries of the lift.  Whether the disc may
+    miss marks is ``truncation_warning(base, r_max)``.  Raises DomainError
+    unless 0 < r_max < inf.
     """
+    if not 0.0 < r_max < math.inf:
+        raise DomainError(f"boundary window radius must be positive and finite, got {r_max!r}")
     if (
         base.marks == lift.marks
         and base.surface.within(lift.surface)
@@ -816,9 +804,7 @@ def boundary_set(
     # each mark's preimages come de-duplicated, and distinct marks have
     # distinct preimages
     for value, nu_value in base.marks:
-        for z, nu_tilde in _mark_preimages(
-            map_spec, value, nu_value, window.r_max, window.r_min, in_both
-        ):
+        for z, nu_tilde in _mark_preimages(map_spec, value, nu_value, r_max, in_both):
             if nu_tilde > base.ramification(z):
                 pts.append(z)
     for c, r in lift.surface.holes:
@@ -828,8 +814,7 @@ def boundary_set(
         if shared:
             continue  # coincides with the base boundary: infinite distance
         for z in _circle(c, r, _CIRCLE_SAMPLES):
-            m = abs(z)
-            if window.r_min <= m <= window.r_max and base.contains(z):
+            if abs(z) <= r_max and base.contains(z):
                 pts.append(z)
     pts.sort(key=lambda z: (abs(z), z.real, z.imag))
     return pts

@@ -37,7 +37,6 @@ from hyporb.maps import postsingular_truncation
 from hyporb.orbifolds import (
     MarkedOrbifold,
     Surface,
-    Window,
     boundary_set,
     build_associated_orbifold,
     find_absorbing_disc,
@@ -160,7 +159,7 @@ def test_criterion_06_cone_distance_convergence():
 def test_criterion_07_expansion_certificates(cosh_map, cosh_pair):
     t0 = time.monotonic()
     base, lift = cosh_pair
-    supply = boundary_set(cosh_map, lift, base, Window(r_max=800.0))
+    supply = boundary_set(cosh_map, lift, base, 800.0)
     phi = (math.sqrt(5.0) - 1.0) / 2.0
     ok = True
     min_lambda = math.inf

@@ -28,7 +28,6 @@ from hyporb.models import ConeDisc, density
 from hyporb.orbifolds import (
     MarkedOrbifold,
     Surface,
-    Window,
     boundary_set,
 )
 
@@ -123,7 +122,7 @@ def test_expansion_certificate_monotone_in_distance():
 
 def test_expansion_certificates_on_cosh(cosh_map, cosh_pair):
     base, lift = cosh_pair
-    supply = boundary_set(cosh_map, lift, base, Window(r_max=60.0))
+    supply = boundary_set(cosh_map, lift, base, 60.0)
     for z in (4.2 + 0.3j, 2.0j, -7.5 + 2.0j):
         cert = expansion_certificate(cosh_pair, z, supply)
         assert math.isfinite(cert.R_bar)
@@ -163,7 +162,7 @@ def test_certificate_search_matches_exhaustive_search(name, request, monkeypatch
     spec = request.getfixturevalue(f"{name}_map")
     pair = request.getfixturevalue(f"{name}_pair")
     base, lift = pair
-    supply = boundary_set(spec, lift, base, Window(r_max=120.0))
+    supply = boundary_set(spec, lift, base, 120.0)
     rng = np.random.default_rng(17)
     points = []
     while len(points) < 25:
@@ -213,7 +212,7 @@ def test_certificates_on_all_catalogue_maps(pi_sinh_map, cosh_minus_one_map,
                                             pi_sinh_pair, cosh_minus_one_pair):
     for spec, pair in ((pi_sinh_map, pi_sinh_pair), (cosh_minus_one_map, cosh_minus_one_pair)):
         base, lift = pair
-        supply = boundary_set(spec, lift, base, Window(r_max=120.0))
+        supply = boundary_set(spec, lift, base, 120.0)
         assert len(supply) > 0
         for z in (4.0 + 0.5j, 0.5 + 40.0j):
             cert = expansion_certificate(pair, z, supply)
@@ -237,7 +236,7 @@ def test_spearman_examples():
 def test_pullback_constant_curve(cosh_map, cosh_pair):
     curve = PolylineCurve([2.0 + 1.0j, 2.0 + 1.0j])
     seed = min(
-        cosh_map.preimages(2.0 + 1.0j, 14.0, 0.0),
+        cosh_map.preimages(2.0 + 1.0j, 14.0),
         key=lambda p: (abs(p - (2.0 + 1.0j)), p.real, p.imag),
     )
     result = pullback_shrinking_experiment(cosh_map, cosh_pair, curve, seed, k_max=3)

@@ -52,9 +52,13 @@ def test_w_points_beyond_grid_is_usage_error(tmp_path, capsys):
         ("separation", ["--map", "frob"], "map"),
         ("bounds", ["--set", "r_min=9"], "r_min"),
         ("bounds", ["--set", "r_points=1"], "r_points"),
+        ("separation", ["--set", "escape_radius=0.5"], "escape_radius"),
+        ("separation", ["--set", "escape_radius=1.0"], "escape_radius"),
+        ("expansion", ["--set", "margin_rel=0.01"], "margin_rel"),
     ],
     ids=["nan-K", "nan-escape-radius", "infinite-sample-r-max", "unknown-map",
-         "r-min-above-r-max", "one-r-point"],
+         "r-min-above-r-max", "one-r-point", "escape-radius-below-1", "escape-radius-1",
+         "removed-margin-rel-key"],
 )
 def test_non_finite_value_or_unknown_map_is_usage_error(tmp_path, capsys, command, setting, key):
     assert run([command, "--output", str(tmp_path)] + setting) == 64

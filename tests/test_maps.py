@@ -213,10 +213,10 @@ def test_nearest_preimage(pi_sinh_map):
     a = 5.5 + 0.5j
     z = nearest_preimage(pi_sinh_map, a)
     assert abs(evaluate(pi_sinh_map, z) - a) < 1e-9
-    assert all(abs(z - a) <= abs(p - a) for p in pi_sinh_map.preimages(a, abs(a) + 12.0, 0.0))
+    assert all(abs(z - a) <= abs(p - a) for p in pi_sinh_map.preimages(a, abs(a) + 12.0))
     stub = EntireMapSpec(
         name="none", eval=lambda z: z, deriv=lambda z: 1 + 0j, deriv2=lambda z: 0j,
-        critical_value_witnesses=(), preimages=lambda v, r_max, r_min: [],
+        critical_value_witnesses=(), preimages=lambda v, r_max: [],
     )
     with pytest.raises(NotFound):
         nearest_preimage(stub, 1.0 + 0j)

@@ -12,7 +12,6 @@ from hyporb.maps import EntireMapSpec, get_map, postsingular_truncation
 from hyporb.orbifolds import (
     MarkedOrbifold,
     Surface,
-    Window,
     annulus_count,
     boundary_set,
     build_associated_orbifold,
@@ -36,7 +35,7 @@ def _linear_half_map() -> EntireMapSpec:
         deriv=lambda z: 0.5 + 0j,
         deriv2=lambda z: 0j,
         critical_value_witnesses=(),
-        preimages=lambda v, r_max, r_min: [2.0 * v] if r_min <= abs(2.0 * v) <= r_max else [],
+        preimages=lambda v, r_max: [2.0 * v] if abs(2.0 * v) <= r_max else [],
     )
 
 
@@ -130,7 +129,7 @@ def test_deepening_is_conservative(cosh_map):
 
 def test_boundary_set_cosh_window(cosh_map, cosh_pair):
     base, lift = cosh_pair
-    bset = boundary_set(cosh_map, lift, base, Window(r_max=8.0, r_min=1.0))
+    bset = boundary_set(cosh_map, lift, base, 8.0)
     assert len(bset) > 0
     assert bset == sorted(bset, key=lambda z: (abs(z), z.real, z.imag))
     assert not truncation_warning(base, 8.0)
@@ -147,8 +146,31 @@ def test_boundary_set_cosh_window(cosh_map, cosh_pair):
 
 def test_boundary_set_identity_pair_empty(cosh_pair, cosh_map):
     base, _ = cosh_pair
-    bset = boundary_set(cosh_map, base, base, Window(r_max=10.0))
+    bset = boundary_set(cosh_map, base, base, 10.0)
     assert bset == []
+
+
+@pytest.mark.parametrize("r_max", [0.0, -1.0, math.nan, math.inf])
+def test_boundary_set_rejects_radius_outside_open_half_line(cosh_map, cosh_pair, r_max):
+    base, lift = cosh_pair
+    with pytest.raises(DomainError):
+        boundary_set(cosh_map, lift, base, r_max)
+
+
+@pytest.mark.parametrize("name", ["cosh", "cosh_minus_one"])
+def test_scan_slice_needs_no_inner_radius(name, request):
+    # the annulus scan slices one shared disc to [t/8, 6.8 t] at scale t: a
+    # disc out to the slice's outer radius already holds the whole slice,
+    # whatever the disc's radius beyond it
+    spec = request.getfixturevalue(f"{name}_map")
+    base, lift = request.getfixturevalue(f"{name}_pair")
+    for t in (4.0, 16.0):
+        r_lo, r_hi = t / 8.0, 6.8 * t
+        slices = [
+            [p for p in boundary_set(spec, lift, base, R) if r_lo <= abs(p) <= r_hi]
+            for R in (r_hi, 4.0 * r_hi)
+        ]
+        assert slices[0] and slices[0] == slices[1]
 
 
 def test_boundary_set_truncation_warning(cosh_pair):
@@ -162,7 +184,7 @@ def test_complete_truncation_never_warns(pi_sinh_map, pi_sinh_pair):
     # every pi*sinh singular orbit closes up, so no marks can be missing
     base, lift = pi_sinh_pair
     assert base.truncation_complete
-    bset = boundary_set(pi_sinh_map, lift, base, Window(r_max=300.0))
+    bset = boundary_set(pi_sinh_map, lift, base, 300.0)
     assert not truncation_warning(base, 300.0)
     assert len(bset) > 0
 
@@ -242,9 +264,7 @@ def test_cosh_minus_one_surface(cosh_minus_one_pair):
     assert lift.surface.outer is None
     assert len(lift.surface.holes) > 1
     # boundary sampling of the lift discs that are interior to the base surface
-    bset = boundary_set(
-        get_map("cosh_minus_one"), lift, base, Window(r_max=10.0, r_min=0.1)
-    )
+    bset = boundary_set(get_map("cosh_minus_one"), lift, base, 10.0)
     assert any(abs(abs(p - c) - r) <= 1e-12 for p in bset for c, r in lift.surface.holes)
 
 
