@@ -37,6 +37,12 @@ _MARGIN_REL = 1e-3
 _RADIUS_FACTORS = (1.0, 1.3, 1.7)
 # Newton residual tolerance of each inverse-branch pullback step.
 _PULLBACK_NEWTON_TOL = 1e-13
+# Bisections of each segment before its length floor is summed, so that floor
+# pieces and the pieces of certified_curve_length nest in one dyadic tree.
+_FLOOR_DEPTH = 4
+# A candidate path is skipped once its floor exceeds the best length by this
+# relative margin, far above the rounding of either sum.
+_FLOOR_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -247,8 +253,10 @@ def expansion_certificate(
     Candidate boundary points (nearest by Euclidean distance, plus a
     high-imaginary selection that keeps paths away from mark rows) are joined
     to ``z`` by straight or single-waypoint paths; the smallest certified
-    path length wins.  Each path passes the best length so far as its
-    ``cutoff``, so a losing path stops early and the winner is the same.
+    path length wins.  A path whose length floor (``_length_floors``)
+    exceeds the best length so far is skipped, and every other path passes
+    that length as its ``cutoff``, so a losing path stops early; the winner
+    is the same.
     On a mark-free disc orbifold the exact hyperbolic distance is used,
     which reproduces the sharp single-cone case.
     """
@@ -282,21 +290,23 @@ def expansion_certificate(
             candidates.append(boundary[i])
 
     margin = _MARGIN_REL * _local_isolation(base, z)
+    paths = [path_pts for b in candidates for path_pts in _candidate_paths(z, b)]
     best: tuple[float, list[complex]] | None = None
-    for b in candidates:
-        for path_pts in _candidate_paths(z, b):
-            try:
-                length = certified_curve_length(
-                    base,
-                    PolylineCurve(path_pts),
-                    refinement=max(refinement, _path_len(path_pts) / 256.0),
-                    mark_margin=margin,
-                    cutoff=math.inf if best is None else best[0],
-                )
-            except DomainError:
-                continue
-            if math.isfinite(length) and (best is None or length < best[0]):
-                best = (length, path_pts)
+    for path_pts, floor in zip(paths, _length_floors(base, paths, margin)):
+        if best is not None and floor > best[0] * (1.0 + _FLOOR_SLACK):
+            continue  # it would return inf at the cutoff
+        try:
+            length = certified_curve_length(
+                base,
+                PolylineCurve(path_pts),
+                refinement=max(refinement, _path_len(path_pts) / 256.0),
+                mark_margin=margin,
+                cutoff=math.inf if best is None else best[0],
+            )
+        except DomainError:
+            continue
+        if math.isfinite(length) and (best is None or length < best[0]):
+            best = (length, path_pts)
     if best is None:
         raise PathBlocked(f"no mark-avoiding path from {z!r} to the boundary set")
     R_bar, path_pts = best
@@ -326,7 +336,68 @@ def _local_isolation(orb: MarkedOrbifold, z: complex) -> float:
     if marks.size == 0:
         d = orb.surface.boundary_distance(z)
         return d if math.isfinite(d) else 1.0
-    return float(np.abs(marks - z).min())
+    # hypot, as abs() of a Python complex takes it (see _nearest_first)
+    return float(np.hypot(marks.real - z.real, marks.imag - z.imag).min())
+
+
+def _cone_density_min(k: float, eps: np.ndarray) -> np.ndarray:
+    """Minimum over 0 < d < eps of the one-cone density of order ``k`` and radius ``eps``.
+
+    With s = (d/eps)^(2/k) the density is 2 / (k eps s^((k-1)/2) (1 - s)),
+    smallest at s = (k-1)/(k+1).  The value is lowered by 1e-13 relative, far
+    more than ``cone_density_formula`` rounds by near that minimum, so no
+    evaluation of it falls below.
+    """
+    s = (k - 1.0) / (k + 1.0)
+    return (2.0 - 2e-13) / (k * eps * s ** ((k - 1.0) / 2.0) * (1.0 - s))
+
+
+def _length_floors(orb: MarkedOrbifold, paths: list[list[complex]], mark_margin: float) -> list[float]:
+    """A lower bound on ``certified_curve_length`` of each path, whatever its other arguments.
+
+    Each segment is bisected ``_FLOOR_DEPTH`` times as ``certified_curve_length``
+    bisects it, so each of its final pieces lies inside a floor piece or is a
+    union of them.  On a floor piece [a, b] every such final piece has
+    density bound at least the smaller of ``2 / min_m max(|a-m|, |b-m|)`` (its
+    clean disc is never larger) and the cone density minimum of every mark
+    whose isolation disc the piece may meet, by ``max(|a-m|, |b-m|) - |b-a|``
+    below the disc's radius (a cone witness needs the final piece inside that
+    disc).  Leaving out the surface boundary only lowers the floor; a
+    mark-free orbifold gets 0.  So does a path that round 0 of
+    ``certified_curve_length`` rejects for coming within ``mark_margin`` of a
+    mark or of the boundary: it is never skipped, and its rejection is seen.
+    """
+    a, b, ids = [], [], []
+    for i, pts in enumerate(paths):
+        v = np.asarray(pts, dtype=complex)
+        keep = np.abs(v[1:] - v[:-1]) > 0
+        a.append(v[:-1][keep])
+        b.append(v[1:][keep])
+        ids.append(np.full(int(keep.sum()), i))
+    a, b, ids = np.concatenate(a), np.concatenate(b), np.concatenate(ids)
+    marks = orb.mark_array
+    if not marks.size or not a.size:
+        return [0.0] * len(paths)
+    clear = np.minimum(orb.surface.segment_boundary_distances(a, b),
+                       segment_point_distances(a, b, marks).min(axis=1))
+    blocked = (clear < mark_margin) | (clear <= 0)
+    rejected = np.bincount(ids, weights=blocked, minlength=len(paths)) > 0
+    for _ in range(_FLOOR_DEPTH):
+        mid = 0.5 * (a + b)
+        a, b, ids = np.concatenate([a, mid]), np.concatenate([mid, b]), np.concatenate([ids, ids])
+    dmax = np.maximum(
+        np.hypot(a.real[:, None] - marks.real, a.imag[:, None] - marks.imag),
+        np.hypot(b.real[:, None] - marks.real, b.imag[:, None] - marks.imag),
+    )
+    density = 2.0 / dmax.min(axis=1)
+    lens = np.hypot((b - a).real, (b - a).imag)
+    dlow = dmax - lens[:, None]
+    for k, cols, eps, _ in orb.cone_groups:
+        cone = np.where(dlow[:, cols] < eps, _cone_density_min(k, eps), np.inf)
+        density = np.minimum(density, cone.min(axis=1))
+    floors = np.bincount(ids, weights=lens * density, minlength=len(paths))
+    floors[rejected] = 0.0
+    return floors.tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,11 @@ import pytest
 from hyporb import certify
 from hyporb.bounds import lambda_lower
 from hyporb.certify import (
+    _FLOOR_SLACK,
     _MAX_CANDIDATES,
     CleanDisc,
     _candidate_paths,
+    _length_floors,
     _local_isolation,
     _nearest_first,
     _path_len,
@@ -133,7 +135,7 @@ def test_expansion_certificates_on_cosh(cosh_map, cosh_pair):
 
 
 def _exhaustive_search(base, z, supply):
-    """``((R_bar, path) or None, paths tried)``: every candidate path certified in full."""
+    """``((R_bar, path) or None, [(path, length or None)])``: every candidate path certified in full."""
     arr = np.asarray(supply, dtype=complex)
     order = _nearest_first(arr, z)
     candidates = [supply[i] for i in order[:_MAX_CANDIDATES]]
@@ -141,18 +143,18 @@ def _exhaustive_search(base, z, supply):
         if supply[i] not in candidates:
             candidates.append(supply[i])
     margin = 1e-3 * _local_isolation(base, z)
-    best, tried = None, 0
+    best, tried = None, []
     for b in candidates:
         for path in _candidate_paths(z, b):
-            tried += 1
             try:
                 length = certified_curve_length(
                     base, PolylineCurve(path),
                     refinement=max(1e-3, _path_len(path) / 256.0), mark_margin=margin,
                 )
             except DomainError:
-                continue
-            if math.isfinite(length) and (best is None or length < best[0]):
+                length = None
+            tried.append((path, length))
+            if length is not None and math.isfinite(length) and (best is None or length < best[0]):
                 best = (length, path)
     return best, tried
 
@@ -171,8 +173,8 @@ def test_certificate_search_matches_exhaustive_search(name, request, monkeypatch
             points.append(z)
     expected = [_exhaustive_search(base, z, supply) for z in points]
 
-    # every candidate path is still tried, but a loser stops at the best
-    # length so far: it returns inf, and few paths finish
+    # a path whose floor exceeds the best length so far is skipped, and every
+    # other loser stops at that length: it returns inf, and few paths finish
     count = {"calls": 0, "finished": 0}
 
     def counted(*args, **kwargs):
@@ -182,14 +184,26 @@ def test_certificate_search_matches_exhaustive_search(name, request, monkeypatch
         return length
 
     monkeypatch.setattr(certify, "certified_curve_length", counted)
+    skipped_total = 0
     for z, (best, tried) in zip(points, expected):
         before = count["calls"]
         cert = expansion_certificate(pair, z, supply)
         assert best is not None
         assert (cert.R_bar, cert.path.vertices) == (best[0], best[1])
-        assert count["calls"] - before == tried
+        floors = _length_floors(base, [path for path, _ in tried], 1e-3 * _local_isolation(base, z))
+        skipped, so_far = 0, None
+        for (_, length), floor in zip(tried, floors):
+            # the floor is sound on real certificates: never above the length
+            assert length is None or floor <= length
+            if so_far is not None and floor > so_far * (1.0 + _FLOOR_SLACK):
+                skipped += 1
+            elif length is not None and (so_far is None or length < so_far):
+                so_far = length
+        assert count["calls"] - before + skipped == len(tried)
+        skipped_total += skipped
     # about 36 per certificate without the cutoff
     assert count["finished"] <= 6 * len(points), count
+    assert skipped_total > count["calls"], (skipped_total, count)
 
 
 def test_scan_empty_boundary_yields_warning_rows(cosh_map, cosh_pair):

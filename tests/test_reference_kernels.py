@@ -3,7 +3,8 @@
 The same-point rule (``PointSet``), the annulus count, the certified curve
 length and the candidate order of expansion certificates were rewritten for
 speed without changing any arithmetic, so each must agree with its reference
-exactly, bit for bit.
+exactly, bit for bit.  The length floor that lets expansion certificates skip
+candidate paths is a bound instead: it must never exceed the reference length.
 """
 
 import math
@@ -14,12 +15,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyporb.certify import (
+    _cone_density_min,
+    _length_floors,
+    _local_isolation,
     _nearest_first,
     certified_curve_length,
 )
 from hyporb.curves import PolylineCurve, polyline_point_distance, segment_point_distances
 from hyporb.errors import DomainError
 from hyporb.maps import PointSet
+from hyporb.models import cone_density_formula
 from hyporb.orbifolds import MarkedOrbifold, Surface, annulus_count
 
 # ---------------------------------------------------------------------------
@@ -404,6 +409,97 @@ def test_certified_length_straddling_isolation_radius():
 
 
 # ---------------------------------------------------------------------------
+# Length floors of candidate paths
+# ---------------------------------------------------------------------------
+
+
+def _straddling_curves(orb, rng):
+    """Segments from deep inside a mark's isolation disc to outside it."""
+    curves = []
+    for i, (p, _) in enumerate(orb.marks):
+        eps = orb.isolation_radii[i]
+        if math.isfinite(eps):
+            direction = np.exp(2j * np.pi * rng.random())
+            curves.append(PolylineCurve([p + 0.01 * eps * direction, p + 1.5 * eps * direction]))
+    return curves
+
+
+@pytest.mark.parametrize("surface", sorted(_SURFACES))
+def test_length_floor_is_below_certified_length(surface):
+    # the floor must not exceed the certified length whatever the refinement:
+    # final pieces finer than the floor's, coarser ones (0.5), and when the
+    # rounds run out
+    rng = np.random.default_rng(31)
+    compared = 0
+    for _ in range(10):
+        orb = _random_orbifold(rng, _SURFACES[surface])
+        curves = [_random_polyline(rng, orb) for _ in range(4)] + _straddling_curves(orb, rng)
+        paths = [curve.vertices for curve in curves]
+        floors = _length_floors(orb, paths, 1e-9)
+        # one call for all paths gives each path the floor it gets alone
+        assert floors == [_length_floors(orb, [path], 1e-9)[0] for path in paths]
+        for curve, floor in zip(curves, floors):
+            path_len = sum(abs(b - a) for a, b in zip(curve.vertices, curve.vertices[1:]))
+            for kw in ({"refinement": 1e-3}, {"refinement": path_len / 256.0},
+                       {"refinement": 0.5}, {"refinement": 0.01, "max_rounds": 4}):
+                try:
+                    want = curve_length_reference(orb, curve, **kw)
+                except DomainError:
+                    assert floor == 0.0  # never skipped, so the rejection is seen
+                    continue
+                assert 0.0 < floor <= want, (curve.vertices, kw, floor, want)
+                compared += 1
+    assert compared >= 150
+
+
+@pytest.mark.parametrize("surface", sorted(_SURFACES))
+def test_length_floor_is_zero_exactly_for_rejected_paths(surface):
+    rng = np.random.default_rng(8)
+    rejected = 0
+    for _ in range(8):
+        orb = _random_orbifold(rng, _SURFACES[surface])
+        p = orb.marks[0][0]
+        curves = [_random_polyline(rng, orb) for _ in range(4)]
+        curves += [PolylineCurve([p - 0.01, p + 0.01])] + _LEAVING[surface]
+        for margin in (1e-9, 0.05):
+            floors = _length_floors(orb, [curve.vertices for curve in curves], margin)
+            for curve, floor in zip(curves, floors):
+                try:
+                    certified_curve_length(orb, curve, mark_margin=margin, max_rounds=1)
+                except DomainError:
+                    assert floor == 0.0
+                    rejected += 1
+                else:
+                    assert floor > 0.0
+    assert rejected >= 16
+
+
+def test_length_floor_of_mark_free_or_zero_length_paths_is_zero():
+    disc = MarkedOrbifold(Surface(outer=(0j, 2.0)), ())
+    assert _length_floors(disc, [[0j, 1.0 + 0j], [0.5j, 0.5j]], 1e-9) == [0.0, 0.0]
+    orb = MarkedOrbifold(Surface(), ((0j, 2), (3.0 + 0j, 3)))
+    assert _length_floors(orb, [[1.0 + 1j, 1.0 + 1j], [1.0 + 1j, 2.0 + 1j]], 1e-9)[0] == 0.0
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 6])
+def test_cone_density_min_is_the_minimum_over_the_disc(k):
+    eps = np.geomspace(1e-4, 1e3, 15)
+    got = _cone_density_min(float(k), eps)
+    u = (k - 1.0) / (k + 1.0)
+    for e, m in zip(eps, got):
+        root = e ** (1.0 / k)
+        d_star = e * u ** (k / 2.0)
+        # the whole open interval, and a fine grid about the minimiser
+        grid = np.concatenate([
+            np.linspace(0.0, e, 20001)[1:-1],
+            d_star * (1.0 + np.linspace(-1e-5, 1e-5, 2001)),
+        ])
+        density = cone_density_formula(float(k), e, root, grid)
+        assert m <= density.min()
+        assert density.min() - m <= 1e-12 * m
+
+
+# ---------------------------------------------------------------------------
 # Point-to-polyline distance
 # ---------------------------------------------------------------------------
 
@@ -432,6 +528,17 @@ def test_polyline_point_distance_matches_scalar_loop():
             assert abs(got - want) <= 2 * math.ulp(want), (curve.vertices, p)
             checked += 1
     assert checked > 1500
+
+
+def test_local_isolation_matches_scalar_abs():
+    # bit for bit: the margin of every certificate derives from it
+    rng = np.random.default_rng(3)
+    for surface in _SURFACES.values():
+        for _ in range(20):
+            orb = _random_orbifold(rng, surface)
+            for z in rng.uniform(-3.0, 3.0, 50) + 1j * rng.uniform(-3.0, 3.0, 50):
+                z = complex(z)
+                assert _local_isolation(orb, z) == min(abs(p - z) for p, _ in orb.marks)
 
 
 # ---------------------------------------------------------------------------
