@@ -12,6 +12,7 @@ bound converges to the true integral from above.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -420,6 +421,11 @@ def sample_angles(count: int) -> list[float]:
     return [2.0 * math.pi * ((0.17 + j * phi) % 1.0) for j in range(count)]
 
 
+def _modulus_slice(points: list[complex], r_lo: float, r_hi: float) -> list[complex]:
+    """The points with r_lo <= |p| <= r_hi, in order, of a list sorted by modulus."""
+    return points[bisect_left(points, r_lo, key=abs) : bisect_right(points, r_hi, key=abs)]
+
+
 def annulus_uniformity_scan(
     map_spec: EntireMapSpec,
     pair: tuple[MarkedOrbifold, MarkedOrbifold],
@@ -443,7 +449,7 @@ def annulus_uniformity_scan(
     shared = boundary_set(map_spec, lift, base, 4.0 * max(scales) * max(_RADIUS_FACTORS))
     for t in scales:
         r_lo, r_hi = t / 8.0, 4.0 * t * max(_RADIUS_FACTORS)
-        supply = [p for p in shared if r_lo <= abs(p) <= r_hi]
+        supply = _modulus_slice(shared, r_lo, r_hi)
         if not supply:
             rows.append(
                 ScanRow(scale=t, max_R_bar=math.nan, min_lambda_bar=math.nan, samples=0,

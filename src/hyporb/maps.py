@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
+import numpy as np
+
 from .curves import PolylineCurve
 from .errors import BranchBreak, DomainError, NearCritical, NoConvergence, NotFound, Overflow
 
@@ -117,16 +119,35 @@ def _pi_sinh_bases(target: complex) -> tuple[complex, complex]:
 
 
 def _lattice_preimages(bases: tuple[complex, ...], r_max: float) -> list[complex]:
-    """Points base + 2*pi*i*k with |z| <= r_max + 1e-9, sorted by (|z|, re, im)."""
-    pts: list[complex] = []
+    """Points base + 2*pi*i*k with |z| <= r_max + 1e-9, sorted by (|z|, re, im).
+
+    The same-point rule of ``PointSet``, in array form: a point within
+    ``SAME_POINT_TOL`` of a kept point of an earlier base is dropped.
+    """
+    res: list[np.ndarray] = []
+    ims: list[np.ndarray] = []
     for base in bases:
-        for k in _k_range(base.imag, r_max):
-            z = base + _TWO_PI * 1j * k
-            if abs(z) <= r_max + 1e-9:
-                pts.append(z)
-    pts = PointSet(pts).points
-    pts.sort(key=lambda z: (abs(z), z.real, z.imag))
-    return pts
+        k_range = _k_range(base.imag, r_max)
+        k = np.arange(k_range.start, k_range.stop, dtype=float)
+        # the parts of the complex sum base + 2*pi*i*k, bit for bit with signed
+        # zeros: 0.0 * k turns a real part -0.0 into +0.0 for k >= 0
+        re = base.real + 0.0 * k
+        im = base.imag + _TWO_PI * k
+        keep = np.hypot(re, im) <= r_max + 1e-9
+        # the points of one base lie 2*pi apart, so only the earlier base's
+        # point nearest in imag (one of the two neighbours) can match
+        for re_kept, im_kept in zip(res, ims):
+            if not im_kept.size:
+                continue
+            j = np.searchsorted(im_kept, im)
+            for n in (np.clip(j - 1, 0, None), np.clip(j, None, im_kept.size - 1)):
+                keep &= np.hypot(re - re_kept[n], im - im_kept[n]) > SAME_POINT_TOL
+        res.append(re[keep])
+        ims.append(im[keep])
+    re, im = np.concatenate(res), np.concatenate(ims)
+    z = np.empty(re.size, dtype=complex)
+    z.real, z.imag = re, im
+    return z[np.lexsort((im, re, np.hypot(re, im)))].tolist()
 
 
 def _make_cosh() -> EntireMapSpec:

@@ -15,7 +15,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -79,15 +79,20 @@ class Surface:
     holes: tuple[tuple[complex, float], ...] = ()
     outer: tuple[complex, float] | None = None
 
-    def contains(self, z: complex) -> bool:
-        if self.outer is not None and not abs(z - self.outer[0]) < self.outer[1]:
-            return False
-        # a plain loop: boundary enumeration calls this tens of thousands of
-        # times, and all() over a generator costs more per hole
+    def contains(self, z: complex | np.ndarray) -> np.bool_ | np.ndarray:
+        """Whether ``z`` lies in the surface: a bool for a point, a bool array for an array.
+
+        A NaN point lies in no surface but the plane.
+        """
+        re, im = np.real(z), np.imag(z)
+        inside = np.ones(np.shape(z), dtype=bool)
+        if self.outer is not None:
+            c, r = self.outer
+            inside &= np.hypot(re - c.real, im - c.imag) < r
+        # one pass per hole: a points x holes matrix would cost memory
         for c, r in self.holes:
-            if not abs(z - c) > r:
-                return False
-        return True
+            inside &= np.hypot(re - c.real, im - c.imag) > r
+        return inside[()]
 
     def boundary_distance(self, z: complex) -> float:
         """Euclidean distance from ``z`` to the boundary (inf on the plane)."""
@@ -189,13 +194,14 @@ class MarkedOrbifold:
 
     def __post_init__(self):
         seen = PointSet()
+        inside = self.surface.contains(self.mark_array)
         for i, (p, nu) in enumerate(self.marks):
             k = seen.add(p)
             if k < i:
                 raise DomainError(f"marks too close: {seen.points[k]!r}, {p!r}")
             if nu < 2:
                 raise DomainError("ramification values must be >= 2")
-            if not self.contains(p):
+            if not inside[i]:
                 raise DomainError(f"mark {p!r} outside the surface")
 
     def contains(self, z: complex) -> bool:
@@ -646,9 +652,8 @@ def build_associated_orbifold(
     # the quotient ramification; most of them are unmarked in the base and
     # feed the boundary set.
     for value, nu_value in base.marks:
-        for z, nu_tilde in _mark_preimages(
-            map_spec, value, nu_value, _LIFT_WINDOW_RADIUS, base.contains
-        ):
+        zs, nus = _mark_preimages(map_spec, value, nu_value, _LIFT_WINDOW_RADIUS, base.surface)
+        for z, nu_tilde in zip(zs.tolist(), nus.tolist()):
             add_lift_mark(z, nu_tilde)
 
     lift = MarkedOrbifold(
@@ -665,22 +670,26 @@ def _mark_preimages(
     value: complex,
     nu_value: int,
     r_max: float,
-    keep: Callable[[complex], bool],
-) -> Iterator[tuple[complex, int]]:
-    """Preimages z of a mark in the disc |z| <= r_max that pass ``keep``, with nu / deg(f, z).
+    *surfaces: Surface,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Preimages z of a mark in the disc |z| <= r_max inside every surface, and nu / deg(f, z).
 
-    ``keep`` is tested before the local degree; a degree that does not divide
-    the mark's ramification raises DivisibilityError.
+    Both come as arrays, in enumeration order.  A local degree that does not
+    divide the mark's ramification raises DivisibilityError at the first such
+    point.
     """
-    for z in map_spec.preimages(value, r_max):
-        if not keep(z):
-            continue
-        deg = local_degree(map_spec, z)
+    z = np.asarray(map_spec.preimages(value, r_max), dtype=complex)
+    for surface in surfaces:
+        z = z[surface.contains(z)]
+    degrees = []
+    for p in z.tolist():
+        deg = local_degree(map_spec, p)
         if nu_value % deg != 0:
             raise DivisibilityError(
-                f"deg(f, {z!r}) = {deg} does not divide nu({value!r}) = {nu_value}"
+                f"deg(f, {p!r}) = {deg} does not divide nu({value!r}) = {nu_value}"
             )
-        yield z, nu_value // deg
+        degrees.append(deg)
+    return z, nu_value // np.asarray(degrees, dtype=int)
 
 
 def _certify_preimage_disc(
@@ -796,28 +805,29 @@ def boundary_set(
         and lift.surface.within(base.surface)
     ):
         return []
-    pts: list[complex] = []
-
-    def in_both(z: complex) -> bool:
-        return base.contains(z) and lift.contains(z)
-
     # each mark's preimages come de-duplicated, and distinct marks have
     # distinct preimages
+    parts = []
     for value, nu_value in base.marks:
-        for z, nu_tilde in _mark_preimages(map_spec, value, nu_value, r_max, in_both):
-            if nu_tilde > base.ramification(z):
-                pts.append(z)
-    for c, r in lift.surface.holes:
-        shared = any(
+        z, nu_tilde = _mark_preimages(map_spec, value, nu_value, r_max, base.surface, lift.surface)
+        # base ramification: reversed, so that the earliest mark within
+        # SAME_POINT_TOL wins, as in ``MarkedOrbifold.ramification``
+        nu_base = np.ones(z.shape, dtype=int)
+        for p, nu in reversed(base.marks):
+            nu_base[np.hypot(z.real - p.real, z.imag - p.imag) <= SAME_POINT_TOL] = nu
+        parts.append(z[nu_tilde > nu_base])
+    circles = [
+        _circle(c, r, _CIRCLE_SAMPLES)
+        for c, r in lift.surface.holes
+        # a hole shared with the base is base boundary: infinite distance
+        if not any(
             abs(c - cb) <= SAME_POINT_TOL and abs(r - rb) <= 1e-12 for cb, rb in base.surface.holes
         )
-        if shared:
-            continue  # coincides with the base boundary: infinite distance
-        for z in _circle(c, r, _CIRCLE_SAMPLES):
-            if abs(z) <= r_max and base.contains(z):
-                pts.append(z)
-    pts.sort(key=lambda z: (abs(z), z.real, z.imag))
-    return pts
+    ]
+    w = np.asarray(circles, dtype=complex).ravel()
+    parts.append(w[(np.hypot(w.real, w.imag) <= r_max) & base.surface.contains(w)])
+    pts = np.concatenate(parts)
+    return pts[np.lexsort((pts.imag, pts.real, np.hypot(pts.real, pts.imag)))].tolist()
 
 
 def truncation_warning(base: MarkedOrbifold, r_max: float) -> bool:

@@ -2,16 +2,18 @@
 
 import dataclasses
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyporb.errors import CycleCollision, DomainError, EmptyInput, NotFound
+from hyporb.errors import CycleCollision, DivisibilityError, DomainError, EmptyInput, NotFound
 from hyporb.maps import EntireMapSpec, get_map, postsingular_truncation
 from hyporb.orbifolds import (
     MarkedOrbifold,
     Surface,
+    _mark_preimages,
     annulus_count,
     boundary_set,
     build_associated_orbifold,
@@ -155,6 +157,44 @@ def test_boundary_set_rejects_radius_outside_open_half_line(cosh_map, cosh_pair,
     base, lift = cosh_pair
     with pytest.raises(DomainError):
         boundary_set(cosh_map, lift, base, r_max)
+
+
+def test_boundary_set_raises_when_the_degree_does_not_divide(cosh_map):
+    # the critical point 0 of cosh maps onto the mark 1 with degree 2, and 2
+    # does not divide the odd ramification 3
+    base = MarkedOrbifold(Surface(), ((1.0 + 0j, 3),))
+    lift = MarkedOrbifold(Surface(), ())
+    message = r"^deg\(f, 0j\) = 2 does not divide nu\(\(1\+0j\)\) = 3$"
+    with pytest.raises(DivisibilityError, match=message):
+        boundary_set(cosh_map, lift, base, 8.0)
+    with pytest.raises(DivisibilityError, match=message):
+        _mark_preimages(cosh_map, 1.0 + 0j, 3, 8.0, base.surface)
+    # every preimage 2*pi*i*k of 1 is critical, and 2 divides 4
+    z, nu_tilde = _mark_preimages(cosh_map, 1.0 + 0j, 4, 8.0, base.surface)
+    assert z.tolist() == [0j, -2j * PI, 2j * PI] and nu_tilde.tolist() == [2, 2, 2]
+
+
+def test_boundary_set_makes_no_per_point_calls(cosh_minus_one_map, cosh_minus_one_pair, monkeypatch):
+    # a work counter, independent of the host's speed: containment runs once
+    # per surface and base mark plus once for the hole circles, and the base
+    # ramification of the preimages is compared as arrays
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(Surface, "contains", counted("contains", Surface.contains))
+    monkeypatch.setattr(
+        MarkedOrbifold, "ramification", counted("ramification", MarkedOrbifold.ramification)
+    )
+    base, lift = cosh_minus_one_pair
+    assert len(boundary_set(cosh_minus_one_map, lift, base, 6963.2)) > 20000
+    assert calls["contains"] <= 2 * len(base.marks) + 1
+    assert calls["ramification"] == 0
 
 
 @pytest.mark.parametrize("name", ["cosh", "cosh_minus_one"])

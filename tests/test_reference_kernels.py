@@ -1,9 +1,10 @@
 """The fast kernels against their plain loop versions, kept here as references.
 
-The same-point rule (``PointSet``), the annulus count, the certified curve
-length and the candidate order of expansion certificates were rewritten for
-speed without changing any arithmetic, so each must agree with its reference
-exactly, bit for bit.  The length floor that lets expansion certificates skip
+The same-point rule (``PointSet``), the annulus count, the lattice preimages,
+surface containment, the boundary set, the scan's supply slice, the certified
+curve length and the candidate order of expansion certificates were rewritten
+for speed without changing any arithmetic, so each must agree with its
+reference exactly, bit for bit.  The length floor that lets expansion certificates skip
 candidate paths is a bound instead: it must never exceed the reference length.
 """
 
@@ -15,17 +16,35 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyporb.certify import (
+    _RADIUS_FACTORS,
     _cone_density_min,
     _length_floors,
     _local_isolation,
+    _modulus_slice,
     _nearest_first,
     certified_curve_length,
 )
 from hyporb.curves import PolylineCurve, polyline_point_distance, segment_point_distances
 from hyporb.errors import DomainError
-from hyporb.maps import PointSet
+from hyporb.maps import (
+    _TWO_PI,
+    SAME_POINT_TOL,
+    PointSet,
+    _cosh_bases,
+    _k_range,
+    _pi_sinh_bases,
+    get_map,
+    local_degree,
+)
 from hyporb.models import cone_density_formula
-from hyporb.orbifolds import MarkedOrbifold, Surface, annulus_count
+from hyporb.orbifolds import (
+    _CIRCLE_SAMPLES,
+    MarkedOrbifold,
+    Surface,
+    _circle,
+    annulus_count,
+    boundary_set,
+)
 
 # ---------------------------------------------------------------------------
 # Reference implementations
@@ -53,6 +72,59 @@ def annulus_count_reference(points, K):
                 count = sum(1 for q in moduli if r * (1 - 1e-12) <= q <= K * r * (1 + 1e-12))
                 best = max(best, count)
     return best
+
+
+# the branch bases of each catalogue map, as ``EntireMapSpec.preimages`` forms them
+_MAP_BASES = {
+    "cosh": _cosh_bases,
+    "pi_sinh": _pi_sinh_bases,
+    "cosh_minus_one": lambda v: _cosh_bases(v + 1.0),
+}
+
+
+def lattice_preimages_reference(bases, r_max):
+    pts = []
+    for base in bases:
+        for k in _k_range(base.imag, r_max):
+            z = base + _TWO_PI * 1j * k
+            if abs(z) <= r_max + 1e-9:
+                pts.append(z)
+    pts = PointSet(pts).points
+    pts.sort(key=lambda z: (abs(z), z.real, z.imag))
+    return pts
+
+
+def contains_reference(surface, z):
+    if surface.outer is not None and not abs(z - surface.outer[0]) < surface.outer[1]:
+        return False
+    return all(abs(z - c) > r for c, r in surface.holes)
+
+
+def boundary_set_reference(name, lift, base, r_max):
+    """Per point: scalar containment, local degree and base ramification."""
+    spec = get_map(name)
+    pts = []
+    for value, nu_value in base.marks:
+        for z in lattice_preimages_reference(_MAP_BASES[name](value), r_max):
+            if contains_reference(base.surface, z) and contains_reference(lift.surface, z):
+                deg = local_degree(spec, z)
+                assert nu_value % deg == 0
+                if nu_value // deg > base.ramification(z):
+                    pts.append(z)
+    for c, r in lift.surface.holes:
+        if any(abs(c - cb) <= SAME_POINT_TOL and abs(r - rb) <= 1e-12
+               for cb, rb in base.surface.holes):
+            continue
+        for z in _circle(c, r, _CIRCLE_SAMPLES):
+            if abs(z) <= r_max and contains_reference(base.surface, z):
+                pts.append(z)
+    pts.sort(key=lambda z: (abs(z), z.real, z.imag))
+    return pts
+
+
+def _bits(points):
+    """Each point's parts as hex strings: equal lists are equal bit for bit, signed zeros too."""
+    return [(z.real.hex(), z.imag.hex()) for z in points]
 
 
 def isolation_radius_reference(orb, index):
@@ -497,6 +569,83 @@ def test_cone_density_min_is_the_minimum_over_the_disc(k):
         density = cone_density_formula(float(k), e, root, grid)
         assert m <= density.min()
         assert density.min() - m <= 1e-12 * m
+
+
+# ---------------------------------------------------------------------------
+# Lattice preimages, containment and the boundary set
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", sorted(_MAP_BASES))
+def test_lattice_preimages_match_point_set_loop(name):
+    spec = get_map(name)
+    rng = np.random.default_rng(sorted(_MAP_BASES).index(name))
+    fixed = [1.0 + 0j, -1.0 + 0j, 0j, -2.0 + 0j, 1j * math.pi, -1j * math.pi, 2.0 + 1j, 1e-300 + 0j]
+    cases = [(v, r_max) for v in fixed for r_max in (0.5, 3.0, 7000.0)]
+    scattered = rng.uniform(-30.0, 30.0, 40) + 1j * rng.uniform(-30.0, 30.0, 40)
+    radii = np.exp(rng.uniform(math.log(0.5), math.log(7000.0), 40))
+    cases += [(complex(v), float(r_max)) for v, r_max in zip(scattered, radii)]
+    counts = {}
+    for value, r_max in cases:
+        want = lattice_preimages_reference(_MAP_BASES[name](value), r_max)
+        assert _bits(spec.preimages(value, r_max)) == _bits(want), (value, r_max)
+        counts[value, r_max] = len(want)
+    # at a critical value the two branches meet, so half the points are
+    # dropped as repeats (the real part of -acosh(-1) is -0.0)
+    for value, _ in spec.critical_value_witnesses:
+        assert counts[value, 7000.0] < 0.6 * counts[2.0 + 1j, 7000.0]
+
+
+_ON_CIRCLE = Surface(holes=((1.0 + 1.0j, 0.5), (-2.0 + 0j, 0.25)), outer=(0.5 + 0.25j, 4.0))
+
+
+@pytest.mark.parametrize("surface", [*_SURFACES.values(), _ON_CIRCLE],
+                         ids=[*_SURFACES, "on_circle"])
+def test_surface_contains_array_matches_scalar_loop(surface):
+    rng = np.random.default_rng(11)
+    pts = [complex(z) for z in rng.uniform(-5.0, 5.0, 400) + 1j * rng.uniform(-5.0, 5.0, 400)]
+    # exactly on each circle, and one ulp to either side
+    for c, r in surface.holes + ((surface.outer,) if surface.outer else ()):
+        for x in (c.real + r, c.real - r):
+            pts += [complex(math.nextafter(x, d), c.imag) for d in (-math.inf, x, math.inf)]
+        pts.append(complex(c.real, c.imag + r))
+    pts += [complex(math.nan, 0.0), complex(0.0, math.nan), complex(math.inf, 1.0)]
+    want = [contains_reference(surface, z) for z in pts]
+    assert surface.contains(np.asarray(pts, dtype=complex)).tolist() == want
+    assert [bool(surface.contains(z)) for z in pts] == want
+    assert surface.contains(np.empty((0,), dtype=complex)).shape == (0,)
+
+
+@pytest.mark.parametrize("name", sorted(_MAP_BASES))
+def test_boundary_set_matches_per_point_loop(name, request):
+    # the cosh_minus_one lift removes 39 discs, whose circles add boundary points
+    base, lift = request.getfixturevalue(f"{name}_pair")
+    for r_max in (8.0, 120.0, 800.0, 6963.2):
+        want = boundary_set_reference(name, lift, base, r_max)
+        got = boundary_set(get_map(name), lift, base, r_max)
+        assert want and _bits(got) == _bits(want), r_max
+
+
+def test_modulus_slice_matches_comprehension(cosh_map, cosh_pair):
+    # the scan's supply at every scale from 2^2 to 2^10, with points exactly
+    # on and one ulp beyond both ends of each slice
+    base, lift = cosh_pair
+    scales = [2.0**e for e in range(2, 11)]
+    shared = boundary_set(cosh_map, lift, base, 4.0 * max(scales) * max(_RADIUS_FACTORS))
+    ends = [(t / 8.0, 4.0 * t * max(_RADIUS_FACTORS)) for t in scales]
+    extra = [
+        p
+        for r_lo, r_hi in ends
+        for r in (r_lo, r_hi)
+        for x in (math.nextafter(r, 0.0), r, math.nextafter(r, math.inf))
+        for p in (complex(x, 0.0), complex(-x, 0.0), complex(0.0, x))
+    ]
+    points = sorted(shared + extra, key=lambda z: (abs(z), z.real, z.imag))
+    for r_lo, r_hi in ends:
+        want = [p for p in points if r_lo <= abs(p) <= r_hi]
+        assert _modulus_slice(points, r_lo, r_hi) == want
+        assert complex(r_lo, 0.0) in want and complex(0.0, r_hi) in want
+        assert _modulus_slice(shared, r_lo, r_hi) == [p for p in shared if r_lo <= abs(p) <= r_hi]
 
 
 # ---------------------------------------------------------------------------
