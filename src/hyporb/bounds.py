@@ -68,23 +68,6 @@ def ratio_puncture_over_disc(w: float) -> float:
 
 
 @dataclass(frozen=True)
-class RatioBoundSample:
-    """One verified point of the bound chain.
-
-    ``k`` is the cone order, or None for the puncture case.  ``ratio`` is the
-    exact density quotient; ``lower``/``upper`` are the claimed bounds at the
-    same R = log((1+w)/(1-w)).
-    """
-
-    w: float
-    R: float
-    k: int | None
-    ratio: float
-    lower: float
-    upper: float
-
-
-@dataclass(frozen=True)
 class ChainViolation:
     w: float
     k: int | None
@@ -94,7 +77,9 @@ class ChainViolation:
 
 @dataclass
 class BoundChainResult:
-    samples: list[RatioBoundSample]
+    """``samples``: the checked ``(w, k)`` pairs, ``k`` None for the puncture step."""
+
+    samples: list[tuple[float, int | None]]
     violations: list[ChainViolation]
     worst_slack: float
 
@@ -114,7 +99,7 @@ def verify_bound_chain(w_grid, k_set) -> BoundChainResult:
     k_list = sorted(set(int(k) for k in k_set))
     if any(k < 2 for k in k_list):
         raise DomainError("cone orders must be >= 2")
-    samples: list[RatioBoundSample] = []
+    samples: list[tuple[float, int | None]] = []
     violations: list[ChainViolation] = []
     worst = -math.inf
 
@@ -133,13 +118,13 @@ def verify_bound_chain(w_grid, k_set) -> BoundChainResult:
         prev = None
         for k in k_list:
             r = ratio_cone_over_disc(k, w)
-            samples.append(RatioBoundSample(w=w, R=R, k=k, ratio=r, lower=lo, upper=up))
+            samples.append((w, k))
             check(lo, r, w, k, "lambda_lower <= ratio_cone")
             if prev is not None:
                 check(prev, r, w, k, "ratio_cone(k) <= ratio_cone(k+1)")
             check(r, punct, w, k, "ratio_cone <= ratio_puncture")
             prev = r
-        samples.append(RatioBoundSample(w=w, R=R, k=None, ratio=punct, lower=lo, upper=up))
+        samples.append((w, None))
         check(punct, up, w, None, "ratio_puncture <= ratio_upper")
     return BoundChainResult(samples=samples, violations=violations, worst_slack=worst)
 

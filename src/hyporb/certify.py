@@ -32,7 +32,7 @@ _TIGHTEN = 1.02
 _MAX_CANDIDATES = 12
 # An expansion-certificate path keeps this fraction of the distance from its
 # start to the nearest base mark (to the surface boundary on a mark-free base)
-# away from every mark and the boundary; a closer path is rejected in round 0.
+# away from every mark and the boundary; a closer path is rejected before bounding.
 _MARGIN_REL = 1e-3
 # Sample circles of the annulus scan, as multiples of each scale.
 _RADIUS_FACTORS = (1.0, 1.3, 1.7)
@@ -120,11 +120,11 @@ def certified_curve_length(
     length times the exact supremum of the best witness density over the
     piece, so the total always dominates the witness-model integral.
 
-    Round 0 bounds every piece of the polyline, and so rejects (DomainError)
-    a curve that comes within ``mark_margin`` of a mark or of the surface
-    boundary.  Later rounds bound only the pieces no longer than
-    ``refinement``: longer pieces split whatever their bounds say, so bounding
-    them would be wasted work.
+    A curve one of whose segments comes within ``mark_margin`` of a mark or
+    of the surface boundary is rejected (DomainError) before any bounding.
+    Each round bounds only the pieces no longer than ``refinement``: longer
+    pieces split whatever their bounds say, so bounding them would be wasted
+    work.
 
     The sum of finished pieces never decreases, so the call returns ``inf``
     as soon as it reaches ``cutoff``: the result is ``inf`` exactly when the
@@ -132,14 +132,12 @@ def certified_curve_length(
     """
     if refinement <= 0:
         raise DomainError("refinement must be positive")
-    verts = curve.as_array()
-    a_all = verts[:-1]
-    b_all = verts[1:]
-    keep = np.abs(b_all - a_all) > 0
-    a = a_all[keep]
-    b = b_all[keep]
+    a, b = _segments(curve.as_array())
     if a.size == 0:
         return 0.0 if 0.0 < cutoff else math.inf
+    clear = _clearance(orb, a, b).min()
+    if clear < mark_margin or clear <= 0:
+        raise DomainError("curve touches a mark or the surface boundary")
 
     marks = orb.mark_array
     cone_groups = orb.cone_groups
@@ -147,19 +145,11 @@ def certified_curve_length(
     def piece_bounds(a_: np.ndarray, b_: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(sup bound, far-end pointwise bound) per piece."""
         bdy = orb.surface.segment_boundary_distances(a_, b_)
-        # vertices are finite, so no NaN hides from these minima
-        closest = bdy.min()
-        if closest < mark_margin or closest <= 0:
-            raise DomainError("curve touches the surface boundary")
         if not marks.size:
             return 2.0 / bdy, 2.0 / bdy
         dmin = segment_point_distances(a_, b_, marks)
         dmax = np.maximum(np.abs(a_[:, None] - marks[None, :]), np.abs(b_[:, None] - marks[None, :]))
-        nearest = dmin.min(axis=1)
-        closest = nearest.min()
-        if closest < mark_margin or closest <= 0:
-            raise DomainError("curve touches a mark")
-        sup = 2.0 / np.minimum(nearest, bdy)
+        sup = 2.0 / np.minimum(dmin.min(axis=1), bdy)
         far = sup.copy()
         for k, cols, eps, eps_root in cone_groups:
             hi = dmax[:, cols]
@@ -177,14 +167,14 @@ def certified_curve_length(
         return sup, far
 
     total = 0.0
-    for i in range(max_rounds):
+    for _ in range(max_rounds):
         lens = np.abs(b - a)
         split = lens > refinement
-        # after round 0, a round in which every piece is too long only halves
-        if i == 0 or not split.all():
-            bounded = np.ones_like(split) if i == 0 else ~split
+        # a round in which every piece is too long only halves
+        if not split.all():
+            bounded = ~split
             sup, far = piece_bounds(a[bounded], b[bounded])
-            split[bounded] |= sup > _TIGHTEN * far
+            split[bounded] = sup > _TIGHTEN * far
             done = ~split
             total += float((lens[done] * sup[done[bounded]]).sum())
             if total >= cutoff:
@@ -341,6 +331,20 @@ def _local_isolation(orb: MarkedOrbifold, z: complex) -> float:
     return float(np.hypot(marks.real - z.real, marks.imag - z.imag).min())
 
 
+def _segments(verts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(starts, ends) of the polyline's segments of nonzero length."""
+    keep = np.abs(verts[1:] - verts[:-1]) > 0
+    return verts[:-1][keep], verts[1:][keep]
+
+
+def _clearance(orb: MarkedOrbifold, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per segment [a, b], the smaller of its distances to the boundary and to the nearest mark."""
+    bdy = orb.surface.segment_boundary_distances(a, b)
+    if not orb.mark_array.size:
+        return bdy
+    return np.minimum(bdy, segment_point_distances(a, b, orb.mark_array).min(axis=1))
+
+
 def _cone_density_min(k: float, eps: np.ndarray) -> np.ndarray:
     """Minimum over 0 < d < eps of the one-cone density of order ``k`` and radius ``eps``.
 
@@ -364,23 +368,21 @@ def _length_floors(orb: MarkedOrbifold, paths: list[list[complex]], mark_margin:
     whose isolation disc the piece may meet, by ``max(|a-m|, |b-m|) - |b-a|``
     below the disc's radius (a cone witness needs the final piece inside that
     disc).  Leaving out the surface boundary only lowers the floor; a
-    mark-free orbifold gets 0.  So does a path that round 0 of
-    ``certified_curve_length`` rejects for coming within ``mark_margin`` of a
-    mark or of the boundary: it is never skipped, and its rejection is seen.
+    mark-free orbifold gets 0.  So does a path that ``certified_curve_length``
+    rejects up front, one with a segment within ``mark_margin`` of a mark or
+    of the boundary: it is never skipped, and its rejection is seen.
     """
     a, b, ids = [], [], []
     for i, pts in enumerate(paths):
-        v = np.asarray(pts, dtype=complex)
-        keep = np.abs(v[1:] - v[:-1]) > 0
-        a.append(v[:-1][keep])
-        b.append(v[1:][keep])
-        ids.append(np.full(int(keep.sum()), i))
+        a_i, b_i = _segments(np.asarray(pts, dtype=complex))
+        a.append(a_i)
+        b.append(b_i)
+        ids.append(np.full(a_i.size, i))
     a, b, ids = np.concatenate(a), np.concatenate(b), np.concatenate(ids)
     marks = orb.mark_array
     if not marks.size or not a.size:
         return [0.0] * len(paths)
-    clear = np.minimum(orb.surface.segment_boundary_distances(a, b),
-                       segment_point_distances(a, b, marks).min(axis=1))
+    clear = _clearance(orb, a, b)
     blocked = (clear < mark_margin) | (clear <= 0)
     rejected = np.bincount(ids, weights=blocked, minlength=len(paths)) > 0
     for _ in range(_FLOOR_DEPTH):

@@ -158,9 +158,7 @@ def _coerce(key: str, value: str):
 
 
 def f12(x: float) -> float:
-    """Round to 12 significant digits for stable, readable output."""
-    if x != x or x in (math.inf, -math.inf):
-        return x
+    """Round to 12 significant digits for stable, readable output; nan and inf pass unchanged."""
     return float(f"{x:.12g}")
 
 

@@ -20,19 +20,13 @@ class Overflow(HyporbError):
 
     def __init__(self, z):
         super().__init__(f"evaluation overflowed at z={z!r}")
-        self.z = z
 
 
 class NoConvergence(HyporbError):
     """An iterative solver exhausted its budget."""
 
-    def __init__(self, iterations, residual=None):
-        super().__init__(
-            f"no convergence after {iterations} iterations"
-            + (f" (residual {residual:.3e})" if residual is not None else "")
-        )
-        self.iterations = iterations
-        self.residual = residual
+    def __init__(self, iterations, residual):
+        super().__init__(f"no convergence after {iterations} iterations (residual {residual:.3e})")
 
 
 class NearCritical(HyporbError):
@@ -40,8 +34,6 @@ class NearCritical(HyporbError):
 
     def __init__(self, z, deriv_modulus):
         super().__init__(f"|f'| = {deriv_modulus:.3e} below floor near z={z!r}")
-        self.z = z
-        self.deriv_modulus = deriv_modulus
 
 
 class BranchBreak(HyporbError):
@@ -49,7 +41,6 @@ class BranchBreak(HyporbError):
 
     def __init__(self, vertex_index, detail=""):
         super().__init__(f"branch continuity lost at vertex {vertex_index} {detail}".rstrip())
-        self.vertex_index = vertex_index
 
 
 class CycleCollision(HyporbError):

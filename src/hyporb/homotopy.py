@@ -150,6 +150,4 @@ def build_representative(
         theta += sign * 2.0 * math.pi
     if abs(q) > eps_n:
         verts.append(q)
-    if len(verts) < 2:
-        verts.append(q)
     return PolylineCurve(verts)

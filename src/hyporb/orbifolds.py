@@ -612,9 +612,7 @@ def build_associated_orbifold(
             if r_pre is not None:
                 lift_holes.append((pre, r_pre))
 
-    complete = all(
-        isinstance(rec.status, Preperiodic) for rec in trunc.records.values()
-    ) if trunc.records else True
+    complete = all(isinstance(rec.status, Preperiodic) for rec in trunc.records.values())
     base = MarkedOrbifold(
         Surface(tuple(holes)),
         tuple(base_marks),

@@ -95,6 +95,13 @@ def test_bound_chain_default_grid():
     assert result.worst_slack <= 1e-10
 
 
+def test_bound_chain_samples_are_the_checked_pairs():
+    samples = verify_bound_chain(default_w_grid(999), range(2, 65)).samples
+    assert len(samples) == 63_936
+    assert samples[0] == (0.001, 2)
+    assert samples[-1] == (0.999, None)
+
+
 def test_bound_chain_monotone_in_k():
     for w in (0.05, 0.3, 0.6, 0.95):
         prev = 0.0

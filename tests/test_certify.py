@@ -26,7 +26,7 @@ from hyporb.certify import (
 )
 from hyporb.curves import PolylineCurve
 from hyporb.errors import DomainError, PathBlocked
-from hyporb.models import ConeDisc, density
+from hyporb.models import ConeDisc, cone_density_formula, density
 from hyporb.orbifolds import (
     MarkedOrbifold,
     Surface,
@@ -91,6 +91,23 @@ def test_certified_length_radial_convergence(cone_orb):
 def test_certified_length_rejects_mark_touch(cone_orb):
     with pytest.raises(DomainError):
         certified_curve_length(cone_orb, PolylineCurve([-0.1 + 0j, 0.1 + 0j]))
+
+
+def test_certified_length_bounds_only_pieces_within_refinement(monkeypatch):
+    # [1, 2] is longer than the refinement, so its own bound would never be
+    # used: the first pieces bounded are its four quarters
+    orb = MarkedOrbifold(Surface(outer=(0j, 10.0)), ((0j, 2), (5.0 + 0j, 3)))
+    curve = PolylineCurve([1.0 + 0j, 2.0 + 0j])
+    expected = certified_curve_length(orb, curve, refinement=0.3)
+    rows = []
+
+    def recorded(k, eps, eps_root, d):
+        rows.append(np.shape(d)[0])
+        return cone_density_formula(k, eps, eps_root, d)
+
+    monkeypatch.setattr(certify, "cone_density_formula", recorded)
+    assert certified_curve_length(orb, curve, refinement=0.3) == expected
+    assert rows and min(rows) >= 4
 
 
 def test_expansion_certificate_sharp_case():
