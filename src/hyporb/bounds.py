@@ -10,6 +10,7 @@ stay stable for large R; the verbatim textbook forms overflow early.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,9 +56,12 @@ def ratio_cone_over_disc(k: int, w: float) -> float:
         raise DomainError("cone order must be >= 2")
     if not 0.0 < w < 1.0:
         raise DomainError("w must lie in (0, 1)")
-    log_w = math.log(w)
-    one_minus_w2k = -math.expm1((2.0 / k) * log_w)
-    return (1.0 - w * w) / (k * math.exp(((k - 1.0) / k) * log_w) * one_minus_w2k)
+    return _cone_ratio(k, 2.0 / k, (k - 1.0) / k, math.log(w), 1.0 - w * w)
+
+
+def _cone_ratio(k: int, two_over_k: float, exponent: float, log_w: float, one_minus_w2: float):
+    """``ratio_cone_over_disc`` from log(w), 1 - w^2 and the per-k constants 2/k, (k-1)/k."""
+    return one_minus_w2 / (k * math.exp(exponent * log_w) * -math.expm1(two_over_k * log_w))
 
 
 def ratio_puncture_over_disc(w: float) -> float:
@@ -95,38 +99,53 @@ def verify_bound_chain(w_grid, k_set) -> BoundChainResult:
     Violations are returned as data; ``worst_slack`` is the largest amount by
     which any inequality came short (negative when everything holds with
     margin).
+
+    Each radius w is one row: its cone ratios in increasing k, from one
+    log(w).  Correctly rounded subtraction is monotone in each argument, so
+    the row's largest shortfall is exactly the largest of lo - min(row),
+    max(row) - puncture, the largest adjacent difference and puncture - upper;
+    only a row whose largest shortfall exceeds 1e-10 is checked sample by
+    sample, for its violations in order.
     """
     k_list = sorted(set(int(k) for k in k_set))
     if any(k < 2 for k in k_list):
         raise DomainError("cone orders must be >= 2")
+    k_consts = [(k, 2.0 / k, (k - 1.0) / k) for k in k_list]
     samples: list[tuple[float, int | None]] = []
     violations: list[ChainViolation] = []
     worst = -math.inf
-
-    def check(lhs: float, rhs: float, w: float, k, what: str) -> None:
-        nonlocal worst
-        short = lhs - rhs
-        worst = max(worst, short)
-        if short > 1e-10:
-            violations.append(ChainViolation(w, k, what, short))
-
     for w in w_grid:
         R = R_of_w(w)
         lo = lambda_lower(R)
         up = ratio_upper(R)
         punct = ratio_puncture_over_disc(w)
-        prev = None
-        for k in k_list:
-            r = ratio_cone_over_disc(k, w)
-            samples.append((w, k))
-            check(lo, r, w, k, "lambda_lower <= ratio_cone")
-            if prev is not None:
-                check(prev, r, w, k, "ratio_cone(k) <= ratio_cone(k+1)")
-            check(r, punct, w, k, "ratio_cone <= ratio_puncture")
-            prev = r
+        log_w, one_minus_w2 = math.log(w), 1.0 - w * w
+        row = [_cone_ratio(k, a, b, log_w, one_minus_w2) for k, a, b in k_consts]
+        samples.extend([(w, k) for k in k_list])
         samples.append((w, None))
-        check(punct, up, w, None, "ratio_puncture <= ratio_upper")
+        # puncture - upper goes last: it is nan where both overflow to inf
+        # (subnormal w), and max keeps an earlier argument over a nan, which
+        # never counts as a shortfall
+        row_worst = punct - up
+        if row:
+            adjacent = max(map(operator.sub, row, row[1:]), default=-math.inf)
+            row_worst = max(lo - min(row), max(row) - punct, adjacent, row_worst)
+        worst = max(worst, row_worst)
+        if row_worst > 1e-10:
+            violations += _row_violations(w, k_list, row, lo, punct, up)
     return BoundChainResult(samples=samples, violations=violations, worst_slack=worst)
+
+
+def _row_violations(w, k_list, row, lo, punct, up) -> list[ChainViolation]:
+    """The violations of one grid row, in the order the chain lists them."""
+    shorts = []
+    for i, (k, r) in enumerate(zip(k_list, row)):
+        shorts.append((lo - r, k, "lambda_lower <= ratio_cone"))
+        if i:
+            shorts.append((row[i - 1] - r, k, "ratio_cone(k) <= ratio_cone(k+1)"))
+        shorts.append((r - punct, k, "ratio_cone <= ratio_puncture"))
+    shorts.append((punct - up, None, "ratio_puncture <= ratio_upper"))
+    return [ChainViolation(w, k, what, short) for short, k, what in shorts if short > 1e-10]
 
 
 def lambda_table(r_min: float, r_max: float, count: int) -> list[tuple[float, float]]:

@@ -679,6 +679,11 @@ def _mark_preimages(
     z = np.asarray(map_spec.preimages(value, r_max), dtype=complex)
     for surface in surfaces:
         z = z[surface.contains(z)]
+    # On the catalogue |f'(z)|^2 = |v - c1| |v - c2| at every preimage z of v,
+    # c1 and c2 the critical values (sinh^2 = cosh^2 - 1, pi^2 cosh^2 = pi^2 +
+    # (pi sinh)^2), so away from them |f'| is far above local_degree's 1e-9.
+    if all(abs(value - c) > 1e-6 for c, _ in map_spec.critical_value_witnesses):
+        return z, np.full(z.shape, nu_value, dtype=int)
     degrees = []
     for p in z.tolist():
         deg = local_degree(map_spec, p)

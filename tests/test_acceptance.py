@@ -7,10 +7,11 @@ frozen here; runtime limits are asserted where the criterion states one.
 import cmath
 import math
 import time
+from collections import Counter
 
 import pytest
 
-from hyporb import certify
+from hyporb import bounds, certify
 from hyporb.bounds import (
     R_of_w,
     default_w_grid,
@@ -66,7 +67,20 @@ def test_criterion_01_sharpness_identity():
     report(1, worst <= 1e-12 and dt < 1.0, f"sharpness gap {worst:.2e} on 999 points", dt)
 
 
-def test_criterion_02_bound_chain():
+def test_criterion_02_bound_chain(monkeypatch):
+    # work counts next to the clock, independent of the host's speed: one
+    # lambda_lower per radius and one cone ratio per (w, k) pair
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    for name in ("lambda_lower", "_cone_ratio"):
+        monkeypatch.setattr(bounds, name, counted(name, getattr(bounds, name)))
     t0 = time.monotonic()
     result = verify_bound_chain(default_w_grid(999), range(2, 65))
     worst_upper = max(
@@ -75,9 +89,11 @@ def test_criterion_02_bound_chain():
     dt = time.monotonic() - t0
     report(
         2,
-        result.passed and worst_upper <= 1e-12 and dt < 5.0,
+        result.passed and worst_upper <= 1e-12 and dt < 5.0
+        and calls == {"lambda_lower": 999, "_cone_ratio": 999 * 63},
         f"chain on {len(result.samples)} samples, worst slack {result.worst_slack:.2e}, "
-        f"upper-bound identity gap {worst_upper:.2e}",
+        f"upper-bound identity gap {worst_upper:.2e}, "
+        f"{calls['lambda_lower']} lambda_lower calls, {calls['_cone_ratio']} cone ratios",
         dt,
     )
 

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hyporb import orbifolds
 from hyporb.errors import CycleCollision, DivisibilityError, DomainError, EmptyInput, NotFound
-from hyporb.maps import EntireMapSpec, get_map, postsingular_truncation
+from hyporb.maps import EntireMapSpec, get_map, local_degree, postsingular_truncation
 from hyporb.orbifolds import (
     MarkedOrbifold,
     Surface,
@@ -195,6 +196,49 @@ def test_boundary_set_makes_no_per_point_calls(cosh_minus_one_map, cosh_minus_on
     assert len(boundary_set(cosh_minus_one_map, lift, base, 6963.2)) > 20000
     assert calls["contains"] <= 2 * len(base.marks) + 1
     assert calls["ramification"] == 0
+
+
+@pytest.mark.parametrize("name", ["cosh", "pi_sinh", "cosh_minus_one"])
+def test_derivative_at_preimages_is_the_critical_value_product(name, request):
+    # |f'(z)|^2 = |v - c1| |v - c2| at every preimage z of v: the identity that
+    # lets _mark_preimages give degree 1 to preimages of values away from c1, c2
+    spec = get_map(name)
+    base, _ = request.getfixturevalue(f"{name}_pair")
+    (c1, _), (c2, _) = spec.critical_value_witnesses
+    values = [p for p, _ in base.marks] + [0.3 + 0.1j, -1.5 + 0j, -7.5 + 2j, 12j, 1e-3 + 0j]
+    checked = 0
+    for v in values:
+        if min(abs(v - c1), abs(v - c2)) <= 1e-6:
+            continue
+        # through square roots, as |f'|^2 overflows at the deepest marks (~1e225)
+        root = math.sqrt(abs(v - c1)) * math.sqrt(abs(v - c2))
+        for z in spec.preimages(v, 700.0):
+            q = abs(spec.deriv(z)) / root
+            assert abs(q * q - 1.0) <= 1e-12, (v, z)
+            checked += 1
+    assert checked > 1000
+
+
+def test_boundary_set_asks_local_degree_only_at_critical_value_preimages(
+    cosh_minus_one_map, cosh_minus_one_pair, monkeypatch
+):
+    # -2 is the one base mark at a critical value of cosh - 1; the preimages
+    # of the other marks get degree 1 without a call
+    asked = []
+
+    def recorded(spec, z):
+        asked.append(z)
+        return local_degree(spec, z)
+
+    monkeypatch.setattr(orbifolds, "local_degree", recorded)
+    base, lift = cosh_minus_one_pair
+    assert len(boundary_set(cosh_minus_one_map, lift, base, 6963.2)) > 20000
+    critical = [
+        z
+        for z in cosh_minus_one_map.preimages(-2.0 + 0j, 6963.2)
+        if base.surface.contains(z) and lift.surface.contains(z)
+    ]
+    assert critical and asked == critical
 
 
 @pytest.mark.parametrize("name", ["cosh", "cosh_minus_one"])

@@ -2,7 +2,8 @@
 
 The same-point rule (``PointSet``), the annulus count, the lattice preimages,
 surface containment, the boundary set, the scan's supply slice, the certified
-curve length and the candidate order of expansion certificates were rewritten
+curve length, the candidate order of expansion certificates and the bound
+chain were rewritten
 for speed without changing any arithmetic, so each must agree with its
 reference exactly, bit for bit.  The length floor that lets expansion certificates skip
 candidate paths is a bound instead: it must never exceed the reference length.
@@ -15,6 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hyporb import bounds
+from hyporb.bounds import BoundChainResult, ChainViolation, default_w_grid
 from hyporb.certify import (
     _RADIUS_FACTORS,
     _cone_density_min,
@@ -120,6 +123,44 @@ def boundary_set_reference(name, lift, base, r_max):
                 pts.append(z)
     pts.sort(key=lambda z: (abs(z), z.real, z.imag))
     return pts
+
+
+def bound_chain_reference(w_grid, k_set):
+    """The chain one sample at a time: a ratio_cone_over_disc call and three checks per (w, k).
+
+    Names resolve in ``bounds`` at call time, so a patched formula reaches both versions.
+    """
+    k_list = sorted(set(int(k) for k in k_set))
+    if any(k < 2 for k in k_list):
+        raise DomainError("cone orders must be >= 2")
+    samples = []
+    violations = []
+    worst = -math.inf
+
+    def check(lhs, rhs, w, k, what):
+        nonlocal worst
+        short = lhs - rhs
+        worst = max(worst, short)
+        if short > 1e-10:
+            violations.append(ChainViolation(w, k, what, short))
+
+    for w in w_grid:
+        R = bounds.R_of_w(w)
+        lo = bounds.lambda_lower(R)
+        up = bounds.ratio_upper(R)
+        punct = bounds.ratio_puncture_over_disc(w)
+        prev = None
+        for k in k_list:
+            r = bounds.ratio_cone_over_disc(k, w)
+            samples.append((w, k))
+            check(lo, r, w, k, "lambda_lower <= ratio_cone")
+            if prev is not None:
+                check(prev, r, w, k, "ratio_cone(k) <= ratio_cone(k+1)")
+            check(r, punct, w, k, "ratio_cone <= ratio_puncture")
+            prev = r
+        samples.append((w, None))
+        check(punct, up, w, None, "ratio_puncture <= ratio_upper")
+    return BoundChainResult(samples=samples, violations=violations, worst_slack=worst)
 
 
 def _bits(points):
@@ -718,3 +759,76 @@ def test_nearest_first_orders_near_ties_like_sorted():
     pts = [z + 3.0 * complex(math.cos(t), math.sin(t)) for t in np.linspace(0.0, 6.0, 400)]
     got = [int(i) for i in _nearest_first(np.asarray(pts, dtype=complex), z)]
     assert got == nearest_first_reference(pts, z)
+
+
+# ---------------------------------------------------------------------------
+# The bound chain
+# ---------------------------------------------------------------------------
+
+
+def _chain_outcome(chain, w_grid, k_set):
+    """A chain's result with its floats as hex strings, or the class of what it raised."""
+    try:
+        res = chain(w_grid, k_set)
+    except (DomainError, ArithmeticError) as exc:
+        return type(exc)
+    viols = [(v.w, v.k, v.description, v.slack.hex()) for v in res.violations]
+    return res.samples, res.worst_slack.hex(), viols
+
+
+def _assert_same_chain(w_grid, k_set):
+    want = _chain_outcome(bound_chain_reference, w_grid, k_set)
+    assert _chain_outcome(bounds.verify_bound_chain, w_grid, k_set) == want
+    return want
+
+
+_W999 = default_w_grid(999)
+_CHAIN_CASES = {
+    "grid999_k2to64": (_W999, range(2, 65)),
+    "grid200_k2to16": (default_w_grid(200), range(2, 17)),
+    "empty_grid": ([], range(2, 9)),
+    "empty_k_set": (_W999, []),
+    "unsorted_duplicate_k": (_W999, [7, 3, 64, 3, 2, 5, 7]),
+    "k_up_to_1e6": (_W999, [2, 3, 1000, 999_999, 10**6]),
+    "k_below_2": (_W999, [2, 1]),
+    "w_outside_0_1": ([0.5, 1.0], [2, 3]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_CHAIN_CASES))
+def test_bound_chain_matches_per_sample_loop(case):
+    _assert_same_chain(*_CHAIN_CASES[case])
+
+
+# each patch moves one side of one inequality by far more than 1e-10 on part
+# of the grid, so that rows with and without violations alternate
+_CHAIN_PATCHES = {
+    "lambda_lower <= ratio_cone": ("lambda_lower", lambda f: lambda R: f(R) + (1e-6 if R > 3.0 else 0.0)),
+    "ratio_cone(k) <= ratio_cone(k+1)": (
+        "_cone_ratio", lambda f: lambda k, *a: f(k, *a) * (1.001 if k == 5 else 1.0)
+    ),
+    "ratio_cone <= ratio_puncture": (
+        "ratio_puncture_over_disc", lambda f: lambda w: f(w) * (0.95 if w < 0.05 else 1.0)
+    ),
+    "ratio_puncture <= ratio_upper": ("ratio_upper", lambda f: lambda R: f(R) * (0.5 if R > 2.5 else 1.0)),
+}
+
+
+@pytest.mark.parametrize("forced", [*sorted(_CHAIN_PATCHES), "all four"])
+def test_bound_chain_matches_per_sample_loop_on_forced_violations(forced, monkeypatch):
+    checks = sorted(_CHAIN_PATCHES) if forced == "all four" else [forced]
+    for what in checks:
+        name, patch = _CHAIN_PATCHES[what]
+        monkeypatch.setattr(bounds, name, patch(getattr(bounds, name)))
+    _, _, viols = _assert_same_chain(_W999, range(2, 12))
+    assert set(checks) <= {v[2] for v in viols}
+    assert 0 < len({v[0] for v in viols}) < 999
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), max_size=20),
+    st.lists(st.integers(2, 10**6), max_size=8),
+)
+def test_bound_chain_matches_per_sample_loop_on_drawn_grids(w_grid, k_set):
+    _assert_same_chain(w_grid, k_set)
