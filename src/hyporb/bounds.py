@@ -95,17 +95,19 @@ class BoundChainResult:
 def verify_bound_chain(w_grid, k_set) -> BoundChainResult:
     """Check lower <= cone(k) <= cone(k+1) <= puncture <= upper on a grid.
 
-    An inequality counts as violated when it comes short by more than 1e-10.
-    Violations are returned as data; ``worst_slack`` is the largest amount by
-    which any inequality came short (negative when everything holds with
-    margin).
+    An inequality counts as violated when it comes short by more than 1e-10,
+    or when its shortfall is nan (both sides infinite), since it was not
+    checked.  Violations are returned as data; ``worst_slack`` is the largest
+    amount by which any inequality came short (negative when everything holds
+    with margin), nan shortfalls left out.
 
     Each radius w is one row: its cone ratios in increasing k, from one
     log(w).  Correctly rounded subtraction is monotone in each argument, so
     the row's largest shortfall is exactly the largest of lo - min(row),
     max(row) - puncture, the largest adjacent difference and puncture - upper;
-    only a row whose largest shortfall exceeds 1e-10 is checked sample by
-    sample, for its violations in order.
+    only a row whose largest shortfall exceeds 1e-10, or with an infinite
+    ratio (a nan shortfall needs two), is checked sample by sample, for its
+    violations in order.
     """
     k_list = sorted(set(int(k) for k in k_set))
     if any(k < 2 for k in k_list):
@@ -127,11 +129,14 @@ def verify_bound_chain(w_grid, k_set) -> BoundChainResult:
         # (subnormal w), and max keeps an earlier argument over a nan, which
         # never counts as a shortfall
         row_worst = punct - up
+        top = max(row, default=0.0)
         if row:
             adjacent = max(map(operator.sub, row, row[1:]), default=-math.inf)
-            row_worst = max(lo - min(row), max(row) - punct, adjacent, row_worst)
+            row_worst = max(lo - min(row), top - punct, adjacent, row_worst)
         worst = max(worst, row_worst)
-        if row_worst > 1e-10:
+        # a nan step needs two infinite sides; the ratios are all positive,
+        # so the sum is infinite whenever one of them is
+        if row_worst > 1e-10 or math.isinf(top + punct + up):
             violations += _row_violations(w, k_list, row, lo, punct, up)
     return BoundChainResult(samples=samples, violations=violations, worst_slack=worst)
 
@@ -145,7 +150,7 @@ def _row_violations(w, k_list, row, lo, punct, up) -> list[ChainViolation]:
             shorts.append((row[i - 1] - r, k, "ratio_cone(k) <= ratio_cone(k+1)"))
         shorts.append((r - punct, k, "ratio_cone <= ratio_puncture"))
     shorts.append((punct - up, None, "ratio_puncture <= ratio_upper"))
-    return [ChainViolation(w, k, what, short) for short, k, what in shorts if short > 1e-10]
+    return [ChainViolation(w, k, what, short) for short, k, what in shorts if not short <= 1e-10]
 
 
 def lambda_table(r_min: float, r_max: float, count: int) -> list[tuple[float, float]]:

@@ -41,6 +41,9 @@ _PULLBACK_NEWTON_TOL = 1e-13
 # Bisections of each segment before its length floor is summed, so that floor
 # pieces and the pieces of certified_curve_length nest in one dyadic tree.
 _FLOOR_DEPTH = 4
+# Piece-mark pairs one piece_bounds call of certified_curve_length may bound
+# when it looks several bisection levels ahead.
+_LOOKAHEAD_CELLS = 1024
 # A candidate path is skipped once its floor exceeds the best length by this
 # relative margin, far above the rounding of either sum.
 _FLOOR_SLACK = 1e-9
@@ -124,7 +127,11 @@ def certified_curve_length(
     of the surface boundary is rejected (DomainError) before any bounding.
     Each round bounds only the pieces no longer than ``refinement``: longer
     pieces split whatever their bounds say, so bounding them would be wasted
-    work.
+    work.  While every piece of a round is that short, one ``piece_bounds``
+    call also bounds their halves as many rounds down as
+    ``_lookahead_depth`` allows, and those rounds read their bounds from it
+    by position: each round sums the same products in the same order, so the
+    result is the float that bounding round by round gives.
 
     The sum of finished pieces never decreases, so the call returns ``inf``
     as soon as it reaches ``cutoff``: the result is ``inf`` exactly when the
@@ -147,12 +154,14 @@ def certified_curve_length(
         bdy = orb.surface.segment_boundary_distances(a_, b_)
         if not marks.size:
             return 2.0 / bdy, 2.0 / bdy
+        # marks-major: each per-piece minimum reduces across rows
         dmin = segment_point_distances(a_, b_, marks)
-        dmax = np.maximum(np.abs(a_[:, None] - marks[None, :]), np.abs(b_[:, None] - marks[None, :]))
-        sup = 2.0 / np.minimum(dmin.min(axis=1), bdy)
+        dmax = np.maximum(np.abs(a_ - marks[:, None]), np.abs(b_ - marks[:, None]))
+        sup = 2.0 / np.minimum(dmin.min(axis=0), bdy)
         far = sup.copy()
         for k, cols, eps, eps_root in cone_groups:
-            hi = dmax[:, cols]
+            hi = dmax[cols]
+            eps, eps_root = eps[:, None], eps_root[:, None]
             inside = hi < eps
             if not inside.any():
                 continue
@@ -160,31 +169,48 @@ def certified_curve_length(
             # infinite, never a bound: mask those entries before the minimum.
             with np.errstate(divide="ignore"):
                 cone_far = cone_density_formula(k, eps, eps_root, hi)
-                cone_near = cone_density_formula(k, eps, eps_root, dmin[:, cols])
+                cone_near = cone_density_formula(k, eps, eps_root, dmin[cols])
             cone_sup = np.maximum(cone_near, cone_far)
-            sup = np.minimum(sup, np.where(inside, cone_sup, np.inf).min(axis=1))
-            far = np.minimum(far, np.where(inside, cone_far, np.inf).min(axis=1))
+            sup = np.minimum(sup, np.where(inside, cone_sup, np.inf).min(axis=0))
+            far = np.minimum(far, np.where(inside, cone_far, np.inf).min(axis=0))
         return sup, far
 
     total = 0.0
-    for _ in range(max_rounds):
+    ahead = 0  # levels of the last piece_bounds call not yet replayed
+    for r in range(max_rounds):
         lens = np.abs(b - a)
         split = lens > refinement
         # a round in which every piece is too long only halves
         if not split.all():
             bounded = ~split
-            sup, far = piece_bounds(a[bounded], b[bounded])
-            split[bounded] = sup > _TIGHTEN * far
+            if ahead:
+                at = pos[bounded]
+            else:
+                # While every piece is short enough, one call bounds this
+                # round's pieces and their halves several rounds down.
+                ahead = 1
+                if bounded.all():
+                    ahead = _lookahead_depth(a.size * max(marks.size, 1), max_rounds - r)
+                sup_t, far_t = piece_bounds(*_dyadic_levels(a[bounded], b[bounded], ahead))
+                # this round's bounds come first; pos: where each piece's
+                # bounds sit, step: the pieces of its level
+                at, pos, step = slice(a.size), np.arange(a.size), a.size
+            sup = sup_t[at]
+            split[bounded] = sup > _TIGHTEN * far_t[at]
             done = ~split
             total += float((lens[done] * sup[done[bounded]]).sum())
             if total >= cutoff:
                 return math.inf
             if not split.any():
                 break
-            a, b = a[split], b[split]
+            a, b, pos = a[split], b[split], pos[split]
         mid = 0.5 * (a + b)
         a = np.concatenate([a, mid])
         b = np.concatenate([mid, b])
+        if ahead > 1:
+            # a piece's halves sit one and two of its level's sizes further on
+            pos, step = np.concatenate([pos + step, pos + 2 * step]), 2 * step
+        ahead = max(ahead - 1, 0)
     else:
         lens = np.abs(b - a)
         sup, _ = piece_bounds(a, b)
@@ -192,6 +218,30 @@ def certified_curve_length(
         if total >= cutoff:
             return math.inf
     return total
+
+
+def _lookahead_depth(cells: int, rounds_left: int) -> int:
+    """Levels one ``piece_bounds`` call covers, from ``cells`` piece-mark pairs on its top level.
+
+    The most levels whose pieces (each level twice the one above) hold at most
+    ``_LOOKAHEAD_CELLS`` pairs, at least one and at most ``rounds_left``.
+    """
+    return min(max((_LOOKAHEAD_CELLS // cells + 1).bit_length() - 1, 1), rounds_left)
+
+
+def _dyadic_levels(a: np.ndarray, b: np.ndarray, depth: int) -> tuple[np.ndarray, np.ndarray]:
+    """The pieces ``[a, b]`` and ``depth - 1`` levels of their halves, level after level.
+
+    Each level lists the left halves of the level above, then its right
+    halves, as ``certified_curve_length`` orders the pieces of its next round.
+    """
+    levels_a, levels_b = [a], [b]
+    for _ in range(depth - 1):
+        mid = 0.5 * (a + b)
+        a, b = np.concatenate([a, mid]), np.concatenate([mid, b])
+        levels_a.append(a)
+        levels_b.append(b)
+    return np.concatenate(levels_a), np.concatenate(levels_b)
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +392,7 @@ def _clearance(orb: MarkedOrbifold, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     bdy = orb.surface.segment_boundary_distances(a, b)
     if not orb.mark_array.size:
         return bdy
-    return np.minimum(bdy, segment_point_distances(a, b, orb.mark_array).min(axis=1))
+    return np.minimum(bdy, segment_point_distances(a, b, orb.mark_array).min(axis=0))
 
 
 def _cone_density_min(k: float, eps: np.ndarray) -> np.ndarray:
@@ -388,16 +438,17 @@ def _length_floors(orb: MarkedOrbifold, paths: list[list[complex]], mark_margin:
     for _ in range(_FLOOR_DEPTH):
         mid = 0.5 * (a + b)
         a, b, ids = np.concatenate([a, mid]), np.concatenate([mid, b]), np.concatenate([ids, ids])
+    # marks-major: each per-piece minimum reduces across rows
     dmax = np.maximum(
-        np.hypot(a.real[:, None] - marks.real, a.imag[:, None] - marks.imag),
-        np.hypot(b.real[:, None] - marks.real, b.imag[:, None] - marks.imag),
+        np.hypot(a.real - marks.real[:, None], a.imag - marks.imag[:, None]),
+        np.hypot(b.real - marks.real[:, None], b.imag - marks.imag[:, None]),
     )
-    density = 2.0 / dmax.min(axis=1)
+    density = 2.0 / dmax.min(axis=0)
     lens = np.hypot((b - a).real, (b - a).imag)
-    dlow = dmax - lens[:, None]
+    dlow = dmax - lens
     for k, cols, eps, _ in orb.cone_groups:
-        cone = np.where(dlow[:, cols] < eps, _cone_density_min(k, eps), np.inf)
-        density = np.minimum(density, cone.min(axis=1))
+        cone = np.where(dlow[cols] < eps[:, None], _cone_density_min(k, eps)[:, None], np.inf)
+        density = np.minimum(density, cone.min(axis=0))
     floors = np.bincount(ids, weights=lens * density, minlength=len(paths))
     floors[rejected] = 0.0
     return floors.tolist()

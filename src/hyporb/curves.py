@@ -37,15 +37,22 @@ class PolylineCurve:
 
 
 def segment_point_distances(a: np.ndarray, b: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """(segments, points) matrix of distances from each point to each segment ``[a, b]``."""
-    d = (b - a)[:, None]
-    ap = pts[None, :] - a[:, None]
-    dd = (d.real**2 + d.imag**2)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        t = np.where(dd > 0, (ap.real * d.real + ap.imag * d.imag) / np.where(dd > 0, dd, 1), 0.0)
-    t = np.clip(t, 0.0, 1.0)
-    closest = a[:, None] + t * d
-    return np.abs(pts[None, :] - closest)
+    """(points, segments) matrix of distances from each point to each segment ``[a, b]``.
+
+    The matrix is C-contiguous, so a per-segment minimum reduces across rows.
+    """
+    d = b - a
+    ap = pts[:, None] - a
+    dd = d.real**2 + d.imag**2
+    t = ap.real * d.real + ap.imag * d.imag
+    flat = ~(dd > 0)
+    if flat.any():  # a zero-length (or non-finite) segment is measured from a
+        dd[flat] = 1.0
+        t[:, flat] = 0.0
+    t /= dd
+    np.maximum(t, 0.0, out=t)
+    np.minimum(t, 1.0, out=t)
+    return np.abs(pts[:, None] - (a + t * d))
 
 
 def polyline_point_distance(curve: PolylineCurve, p: complex) -> float:

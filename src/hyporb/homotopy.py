@@ -98,12 +98,12 @@ def choose_epsilon_n(n: int, eps: float, d: int) -> float:
     return lo
 
 
-def _arc_points(radius: float, theta_from: float, theta_to: float, step_deg: float) -> list[complex]:
+def _arc_points(radius: float, theta_from: float, theta_to: float, step_deg: float) -> np.ndarray:
     """Vertices on |z| = radius from theta_from to theta_to (signed sweep)."""
     sweep = theta_to - theta_from
     steps = max(1, math.ceil(abs(sweep) / math.radians(step_deg)))
     thetas = theta_from + sweep * np.arange(1, steps + 1) / steps
-    return list(radius * np.exp(1j * thetas))
+    return radius * np.exp(1j * thetas)
 
 
 def build_representative(
@@ -137,17 +137,16 @@ def build_representative(
     theta_p = cmath.phase(p)
     theta_q = cmath.phase(q)
 
-    verts: list[complex] = [p]
-    x_n = eps_n * cmath.exp(1j * theta_p)
+    parts = [[p]]
     if abs(p) > eps_n:
-        verts.append(x_n)
+        parts.append([eps_n * cmath.exp(1j * theta_p)])
     # shortest arc from the ray of p to the ray of q
     sweep = math.remainder(theta_q - theta_p, 2.0 * math.pi)
-    verts.extend(_arc_points(eps_n, theta_p, theta_p + sweep, _ARC_STEP_DEG))
+    parts.append(_arc_points(eps_n, theta_p, theta_p + sweep, _ARC_STEP_DEG))
     theta = theta_p + sweep
     for _ in range(n):
-        verts.extend(_arc_points(eps_n, theta, theta + sign * 2.0 * math.pi, _ARC_STEP_DEG))
+        parts.append(_arc_points(eps_n, theta, theta + sign * 2.0 * math.pi, _ARC_STEP_DEG))
         theta += sign * 2.0 * math.pi
     if abs(q) > eps_n:
-        verts.append(q)
-    return PolylineCurve(verts)
+        parts.append([q])
+    return PolylineCurve(np.concatenate(parts))

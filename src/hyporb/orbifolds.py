@@ -107,7 +107,7 @@ class Surface:
         if self.holes:
             centers = np.asarray([c for c, _ in self.holes], dtype=complex)
             radii = np.asarray([r for _, r in self.holes])
-            d = (segment_point_distances(a, b, centers) - radii[None, :]).min(axis=1)
+            d = (segment_point_distances(a, b, centers) - radii[:, None]).min(axis=0)
         if self.outer is not None:
             # the outer circle is nearest to the segment at an endpoint
             c, r = self.outer

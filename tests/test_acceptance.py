@@ -252,7 +252,16 @@ def test_criterion_09_pullback_shrinking(cosh_map, cosh_pair):
     )
 
 
-def test_criterion_10_homotopy_representatives():
+def test_criterion_10_homotopy_representatives(monkeypatch):
+    passes = 0
+    distances = certify.segment_point_distances
+
+    def counted(*args):
+        nonlocal passes
+        passes += 1
+        return distances(*args)
+
+    monkeypatch.setattr(certify, "segment_point_distances", counted)
     t0 = time.monotonic()
     eps = 1.0
     ok = True
@@ -273,13 +282,14 @@ def test_criterion_10_homotopy_representatives():
                 worst = max(worst, length)
                 ok = ok and length < eps / 6.0 and wind == sign * n
     dt = time.monotonic() - t0
-    # a deterministic work bound beside the wall-clock one: the vertex count
-    # of the 198 representatives does not drift with the host's speed
+    # deterministic work counts beside the wall-clock bound, which drifts with
+    # the host's speed: the vertices of the 198 representatives, and the
+    # segment-mark distance passes that certify their lengths
     report(
         10,
-        ok and vertices <= 1_158_525 and dt < 2.0,
-        f"198 representatives ({vertices} vertices), max certified length "
-        f"{worst:.6f} < {eps / 6.0:.6f}, exact classes",
+        ok and vertices <= 1_158_525 and passes == 1_704 and dt < 2.0,
+        f"198 representatives ({vertices} vertices, {passes} distance passes), "
+        f"max certified length {worst:.6f} < {eps / 6.0:.6f}, exact classes",
         dt,
     )
 

@@ -102,6 +102,19 @@ def test_bound_chain_samples_are_the_checked_pairs():
     assert samples[-1] == (0.999, None)
 
 
+def test_bound_chain_counts_a_nan_step_as_a_violation():
+    # at subnormal w the puncture ratio and the upper bound both overflow to
+    # inf, so their difference is nan: that step was never checked
+    result = verify_bound_chain([5e-324], [])
+    assert not result.passed
+    [violation] = result.violations
+    assert violation.description == "ratio_puncture <= ratio_upper"
+    assert math.isnan(violation.slack)
+    assert result.worst_slack == -math.inf  # nan shortfalls are left out of it
+    # the CLI's grid has no such step
+    assert verify_bound_chain(default_w_grid(999), range(2, 65)).passed
+
+
 def test_bound_chain_monotone_in_k():
     for w in (0.05, 0.3, 0.6, 0.95):
         prev = 0.0

@@ -102,7 +102,7 @@ def test_certified_length_bounds_only_pieces_within_refinement(monkeypatch):
     rows = []
 
     def recorded(k, eps, eps_root, d):
-        rows.append(np.shape(d)[0])
+        rows.append(np.shape(d)[-1])
         return cone_density_formula(k, eps, eps_root, d)
 
     monkeypatch.setattr(certify, "cone_density_formula", recorded)

@@ -9,6 +9,7 @@ reference exactly, bit for bit.  The length floor that lets expansion certificat
 candidate paths is a bound instead: it must never exceed the reference length.
 """
 
+import cmath
 import math
 
 import numpy as np
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyporb import bounds
+from hyporb import bounds, certify
 from hyporb.bounds import BoundChainResult, ChainViolation, default_w_grid
 from hyporb.certify import (
     _RADIUS_FACTORS,
@@ -29,6 +30,7 @@ from hyporb.certify import (
 )
 from hyporb.curves import PolylineCurve, polyline_point_distance, segment_point_distances
 from hyporb.errors import DomainError
+from hyporb.homotopy import build_representative, epsilon_prime
 from hyporb.maps import (
     _TWO_PI,
     SAME_POINT_TOL,
@@ -141,7 +143,7 @@ def bound_chain_reference(w_grid, k_set):
         nonlocal worst
         short = lhs - rhs
         worst = max(worst, short)
-        if short > 1e-10:
+        if not short <= 1e-10:  # a nan shortfall was never checked
             violations.append(ChainViolation(w, k, what, short))
 
     for w in w_grid:
@@ -205,7 +207,7 @@ def curve_length_reference(orb, curve, refinement=1e-3, mark_margin=1e-9, max_ro
         if np.any(bdy < mark_margin) or np.any(bdy <= 0):
             raise DomainError("curve touches the surface boundary")
         if marks.size:
-            dmin = segment_point_distances(a_, b_, marks)
+            dmin = segment_point_distances(a_, b_, marks).T
             dmax = np.maximum(np.abs(a_[:, None] - marks[None, :]),
                               np.abs(b_[:, None] - marks[None, :]))
             if np.any(dmin.min(axis=1) < mark_margin) or np.any(dmin.min(axis=1) <= 0):
@@ -519,6 +521,57 @@ def test_certified_length_straddling_isolation_radius():
             curve = PolylineCurve([p + 0.01 * eps * direction, p + 1.5 * eps * direction])
             for refinement in (0.1, 1e-3):
                 assert _same_length_or_same_error(orb, curve, refinement=refinement)
+
+
+# A homotopy representative runs its pieces round a small circle about its
+# one cone point, few enough that one piece_bounds call bounds several
+# bisection levels: each level is replayed from that call's bounds.
+def _representative(d, n):
+    ep = epsilon_prime(1.0, d)
+    p, q = 0.8 * ep * cmath.exp(0.3j), 0.6 * ep * cmath.exp(-1.1j)
+    orb = MarkedOrbifold(Surface(outer=(0j, 1.0)), ((0j, d),))
+    return orb, build_representative(p, q, n, 1, 1.0, d)
+
+
+def _recorded_lookahead(monkeypatch):
+    """Per call of ``_lookahead_depth``: (levels it chose, levels with 60 rounds left)."""
+    calls = []
+    depth_of = certify._lookahead_depth
+
+    def recorded(cells, rounds_left):
+        calls.append((depth_of(cells, rounds_left), depth_of(cells, 60)))
+        return calls[-1][0]
+
+    monkeypatch.setattr(certify, "_lookahead_depth", recorded)
+    return calls
+
+
+@pytest.mark.parametrize("d", [2, 3, 6])
+@pytest.mark.parametrize("n", [0, 5, 10])
+def test_certified_length_matches_per_mark_loop_with_lookahead(d, n, monkeypatch):
+    orb, rep = _representative(d, n)
+    calls = _recorded_lookahead(monkeypatch)
+    assert _same_length_or_same_error(orb, rep, refinement=1.0, mark_margin=0.0)
+    assert max(levels for levels, _ in calls) > 1
+
+
+def test_certified_length_matches_per_mark_loop_when_rounds_run_out_in_a_lookahead(monkeypatch):
+    orb, rep = _representative(3, 5)
+    calls = _recorded_lookahead(monkeypatch)
+    for max_rounds in range(1, 25):
+        assert _same_length_or_same_error(orb, rep, refinement=1.0, mark_margin=0.0,
+                                          max_rounds=max_rounds)
+    assert any(levels < free for levels, free in calls)  # a lookahead cut at max_rounds
+
+
+@pytest.mark.parametrize("d", [2, 3, 6])
+def test_cutoff_inside_a_lookahead_returns_inf_or_the_same_length(d):
+    # the 32 cutoffs are reached in many rounds, many of them replayed ones
+    orb, rep = _representative(d, 10)
+    want = curve_length_reference(orb, rep, refinement=1.0, mark_margin=0.0)
+    for cutoff in [want * j / 32 for j in range(1, 33)] + [math.nextafter(want, math.inf)]:
+        got = certified_curve_length(orb, rep, refinement=1.0, mark_margin=0.0, cutoff=cutoff)
+        assert got == (math.inf if want >= cutoff else want), (want, cutoff, got)
 
 
 # ---------------------------------------------------------------------------
