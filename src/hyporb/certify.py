@@ -36,8 +36,6 @@ _MAX_CANDIDATES = 12
 _MARGIN_REL = 1e-3
 # Sample circles of the annulus scan, as multiples of each scale.
 _RADIUS_FACTORS = (1.0, 1.3, 1.7)
-# Newton residual tolerance of each inverse-branch pullback step.
-_PULLBACK_NEWTON_TOL = 1e-13
 # Bisections of each segment before its length floor is summed, so that floor
 # pieces and the pieces of certified_curve_length nest in one dyadic tree.
 _FLOOR_DEPTH = 4
@@ -152,12 +150,11 @@ def certified_curve_length(
     def piece_bounds(a_: np.ndarray, b_: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(sup bound, far-end pointwise bound) per piece."""
         bdy = orb.surface.segment_boundary_distances(a_, b_)
-        if not marks.size:
-            return 2.0 / bdy, 2.0 / bdy
-        # marks-major: each per-piece minimum reduces across rows
+        # marks-major: each per-piece minimum reduces across rows; with no
+        # marks it is inf, and the clean disc alone bounds the piece
         dmin = segment_point_distances(a_, b_, marks)
         dmax = np.maximum(np.abs(a_ - marks[:, None]), np.abs(b_ - marks[:, None]))
-        sup = 2.0 / np.minimum(dmin.min(axis=0), bdy)
+        sup = 2.0 / np.minimum(dmin.min(axis=0, initial=np.inf), bdy)
         far = sup.copy()
         for k, cols, eps, eps_root in cone_groups:
             hi = dmax[cols]
@@ -389,10 +386,8 @@ def _segments(verts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _clearance(orb: MarkedOrbifold, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Per segment [a, b], the smaller of its distances to the boundary and to the nearest mark."""
-    bdy = orb.surface.segment_boundary_distances(a, b)
-    if not orb.mark_array.size:
-        return bdy
-    return np.minimum(bdy, segment_point_distances(a, b, orb.mark_array).min(axis=0))
+    nearest = segment_point_distances(a, b, orb.mark_array).min(axis=0, initial=np.inf)
+    return np.minimum(orb.surface.segment_boundary_distances(a, b), nearest)
 
 
 def _cone_density_min(k: float, eps: np.ndarray) -> np.ndarray:
@@ -430,7 +425,7 @@ def _length_floors(orb: MarkedOrbifold, paths: list[list[complex]], mark_margin:
         ids.append(np.full(a_i.size, i))
     a, b, ids = np.concatenate(a), np.concatenate(b), np.concatenate(ids)
     marks = orb.mark_array
-    if not marks.size or not a.size:
+    if not a.size:
         return [0.0] * len(paths)
     clear = _clearance(orb, a, b)
     blocked = (clear < mark_margin) | (clear <= 0)
@@ -443,7 +438,7 @@ def _length_floors(orb: MarkedOrbifold, paths: list[list[complex]], mark_margin:
         np.hypot(a.real - marks.real[:, None], a.imag - marks.imag[:, None]),
         np.hypot(b.real - marks.real[:, None], b.imag - marks.imag[:, None]),
     )
-    density = 2.0 / dmax.min(axis=0)
+    density = 2.0 / dmax.min(axis=0, initial=np.inf)
     lens = np.hypot((b - a).real, (b - a).imag)
     dlow = dmax - lens
     for k, cols, eps, _ in orb.cone_groups:
@@ -534,22 +529,21 @@ def annulus_uniformity_scan(
 
 
 def spearman_rank_correlation(xs: list[float], ys: list[float]) -> float:
-    """Spearman rho with average ranks for ties."""
+    """Spearman rho with average ranks for ties.
+
+    A value's rank is the mean of the 1-based positions its ties take in the
+    sorted values, which two binary searches give.  Two nan values count as a
+    tie here.
+    """
     if len(xs) != len(ys) or len(xs) < 2:
         raise DomainError("need two sequences of equal length >= 2")
 
     def ranks(vals: list[float]) -> np.ndarray:
-        order = np.argsort(vals, kind="stable")
-        r = np.empty(len(vals))
-        sorted_vals = np.asarray(vals)[order]
-        i = 0
-        while i < len(vals):
-            j = i
-            while j + 1 < len(vals) and sorted_vals[j + 1] == sorted_vals[i]:
-                j += 1
-            r[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-            i = j + 1
-        return r
+        v = np.asarray(vals)
+        # stable: the default quicksort pages in numpy's SIMD sort kernels,
+        # about 0.3 MB more peak RSS on an expansion run
+        s = np.sort(v, kind="stable")
+        return 0.5 * (np.searchsorted(s, v, "left") + np.searchsorted(s, v, "right") + 1)
 
     rx, ry = ranks(xs), ranks(ys)
     rx -= rx.mean()
@@ -595,7 +589,7 @@ def pullback_shrinking_experiment(
     curves = [curve0]
     seed = complex(branch_seed)
     for k in range(1, k_max + 1):
-        lifted = pullback_curve(map_spec, curves[-1], seed, tol=_PULLBACK_NEWTON_TOL)
+        lifted = pullback_curve(map_spec, curves[-1], seed)
         lengths.append(certified_curve_length(base, lifted, refinement))
         curves.append(lifted)
         if k < k_max:

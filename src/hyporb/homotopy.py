@@ -71,37 +71,33 @@ def epsilon_prime(eps: float, d: int) -> float:
 
 
 def choose_epsilon_n(n: int, eps: float, d: int) -> float:
-    """Largest radius whose full circle costs less than eps/(18 (n+1)).
+    """Largest radius whose full circle costs less than eps/(18 (n+1)) (0.99 margin).
 
-    The circle length 2*pi*r*rho(r) is strictly monotone (shrinking to 0
-    with the radius), so bisection applies; the returned radius satisfies
-    the target with a 0.99 margin.
+    Inverts the exact circle length 4*pi*u / (d (1 - u^2)), u = (r/eps)^(1/d),
+    in closed form, then steps the radius by single ulps until the float
+    length crosses the target between it and the next float up:
+    L(r) < target <= L(nextafter(r, inf)).  A radius that underflows to 0
+    raises DomainError.
     """
     if n < 0:
         raise DomainError("n must be >= 0")
     if eps <= 0 or d < 1:
         raise DomainError("need eps > 0 and d >= 1")
     target = 0.99 * eps / (18.0 * (n + 1))
-    lo, hi = 0.0, eps * (1.0 - 1e-12)
-    if cone_circle_length(d, eps, hi) <= target:
-        return hi
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if cone_circle_length(d, eps, mid) < target:
-            lo = mid
-        else:
-            hi = mid
-    if lo == 0.0 or cone_circle_length(d, eps, lo) >= target:
-        raise DomainError("bisection failed to certify a circle radius")
-    return lo
+    td = target * d
+    u = 2.0 * td / (4.0 * math.pi + math.sqrt(16.0 * math.pi**2 + 4.0 * td * td))
+    r = eps * u**d
+    while cone_circle_length(d, eps, r) >= target:
+        r = math.nextafter(r, 0.0)
+    while cone_circle_length(d, eps, math.nextafter(r, math.inf)) < target:
+        r = math.nextafter(r, math.inf)
+    return r
 
 
-def _arc_points(radius: float, theta_from: float, theta_to: float, step_deg: float) -> np.ndarray:
+def _arc_points(radius: float, theta_from: float, theta_to: float) -> np.ndarray:
     """Vertices on |z| = radius from theta_from to theta_to (signed sweep)."""
     sweep = theta_to - theta_from
-    steps = max(1, math.ceil(abs(sweep) / math.radians(step_deg)))
+    steps = max(1, math.ceil(abs(sweep) / math.radians(_ARC_STEP_DEG)))
     thetas = theta_from + sweep * np.arange(1, steps + 1) / steps
     return radius * np.exp(1j * thetas)
 
@@ -142,10 +138,10 @@ def build_representative(
         parts.append([eps_n * cmath.exp(1j * theta_p)])
     # shortest arc from the ray of p to the ray of q
     sweep = math.remainder(theta_q - theta_p, 2.0 * math.pi)
-    parts.append(_arc_points(eps_n, theta_p, theta_p + sweep, _ARC_STEP_DEG))
+    parts.append(_arc_points(eps_n, theta_p, theta_p + sweep))
     theta = theta_p + sweep
     for _ in range(n):
-        parts.append(_arc_points(eps_n, theta, theta + sign * 2.0 * math.pi, _ARC_STEP_DEG))
+        parts.append(_arc_points(eps_n, theta, theta + sign * 2.0 * math.pi))
         theta += sign * 2.0 * math.pi
     if abs(q) > eps_n:
         parts.append([q])

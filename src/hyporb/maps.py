@@ -21,6 +21,8 @@ from .errors import BranchBreak, DomainError, NearCritical, NoConvergence, NotFo
 _TWO_PI = 2.0 * math.pi
 # Two computed points (orbit points, preimages, marks) at most this far apart are one point.
 SAME_POINT_TOL = 1e-9
+# Residual |f(z) - target| at which the damped Newton solve in ``inverse_step`` stops.
+_NEWTON_TOL = 1e-13
 # Iteration budget of the damped Newton solve in ``inverse_step``.
 _NEWTON_MAX_ITER = 80
 # ``inverse_step`` gives up (NearCritical) where |f'| falls below this.
@@ -370,12 +372,7 @@ def postsingular_truncation(
     return TruncatedPostsingular(depth=depth, points=entries, records=records)
 
 
-def inverse_step(
-    map_spec: EntireMapSpec,
-    target: complex,
-    seed: complex,
-    tol: float = 1e-10,
-) -> complex:
+def inverse_step(map_spec: EntireMapSpec, target: complex, seed: complex) -> complex:
     """Damped Newton solve of f(z) = target starting from ``seed``.
 
     Returns the branch-continuous preimage.  Raises NearCritical when |f'|
@@ -388,7 +385,7 @@ def inverse_step(
     except OverflowError:
         raise NoConvergence(0, residual=math.inf) from None
     for it in range(_NEWTON_MAX_ITER):
-        if res <= tol:
+        if res <= _NEWTON_TOL:
             return z
         dz = map_spec.deriv(z)
         if abs(dz) < _NEWTON_DERIV_FLOOR:
@@ -407,7 +404,7 @@ def inverse_step(
             lam *= 0.5
         else:
             raise NoConvergence(it + 1, residual=res)
-    if res <= tol:
+    if res <= _NEWTON_TOL:
         return z
     raise NoConvergence(_NEWTON_MAX_ITER, residual=res)
 
@@ -427,7 +424,6 @@ def pullback_curve(
     map_spec: EntireMapSpec,
     curve: PolylineCurve,
     branch_seed: complex,
-    tol: float = 1e-10,
 ) -> PolylineCurve:
     """Lift ``curve`` through the inverse branch selected by ``branch_seed``.
 
@@ -439,8 +435,8 @@ def pullback_curve(
     """
     targets = curve.vertices
     z0 = complex(branch_seed)
-    if abs(map_spec.eval(z0) - targets[0]) > max(10 * tol, 1e-8):
-        z0 = inverse_step(map_spec, targets[0], z0, tol)
+    if abs(map_spec.eval(z0) - targets[0]) > 1e-8:
+        z0 = inverse_step(map_spec, targets[0], z0)
     lifted = [z0]
     inserted = 0
 
@@ -451,7 +447,7 @@ def pullback_curve(
         # Step bound: a healthy branch moves about |dw|/|f'|; allow slack 8.
         step_bound = 8.0 * abs(target - t_prev) / max(d_prev, 1e-12) + 1e-12
         try:
-            z_new = inverse_step(map_spec, target, z_prev, tol)
+            z_new = inverse_step(map_spec, target, z_prev)
             jump = abs(z_new - z_prev)
         except (NearCritical, NoConvergence):
             z_new, jump = None, math.inf

@@ -11,7 +11,7 @@ from collections import Counter
 
 import pytest
 
-from hyporb import bounds, certify
+from hyporb import bounds, certify, homotopy
 from hyporb.bounds import (
     R_of_w,
     default_w_grid,
@@ -253,15 +253,22 @@ def test_criterion_09_pullback_shrinking(cosh_map, cosh_pair):
 
 
 def test_criterion_10_homotopy_representatives(monkeypatch):
-    passes = 0
+    passes = circles = 0
     distances = certify.segment_point_distances
+    circle_length = homotopy.cone_circle_length
 
     def counted(*args):
         nonlocal passes
         passes += 1
         return distances(*args)
 
+    def counted_circle(*args):
+        nonlocal circles
+        circles += 1
+        return circle_length(*args)
+
     monkeypatch.setattr(certify, "segment_point_distances", counted)
+    monkeypatch.setattr(homotopy, "cone_circle_length", counted_circle)
     t0 = time.monotonic()
     eps = 1.0
     ok = True
@@ -283,12 +290,14 @@ def test_criterion_10_homotopy_representatives(monkeypatch):
                 ok = ok and length < eps / 6.0 and wind == sign * n
     dt = time.monotonic() - t0
     # deterministic work counts beside the wall-clock bound, which drifts with
-    # the host's speed: the vertices of the 198 representatives, and the
-    # segment-mark distance passes that certify their lengths
+    # the host's speed: the vertices of the 198 representatives, the
+    # segment-mark distance passes that certify their lengths, and the circle
+    # lengths that choose their radii
     report(
         10,
-        ok and vertices <= 1_158_525 and passes == 1_704 and dt < 2.0,
-        f"198 representatives ({vertices} vertices, {passes} distance passes), "
+        ok and vertices <= 1_158_525 and passes == 1_704 and circles == 2_485 and dt < 2.0,
+        f"198 representatives ({vertices} vertices, {passes} distance passes, "
+        f"{circles} circle lengths), "
         f"max certified length {worst:.6f} < {eps / 6.0:.6f}, exact classes",
         dt,
     )

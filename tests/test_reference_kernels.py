@@ -5,7 +5,10 @@ surface containment, the boundary set, the scan's supply slice, the certified
 curve length, the candidate order of expansion certificates and the bound
 chain were rewritten
 for speed without changing any arithmetic, so each must agree with its
-reference exactly, bit for bit.  The length floor that lets expansion certificates skip
+reference exactly, bit for bit.  The circle radius of homotopy
+representatives and the Spearman tie ranks were rewritten as closed forms,
+which must agree bit for bit with the loops they replaced wherever those
+loops finish.  The length floor that lets expansion certificates skip
 candidate paths is a bound instead: it must never exceed the reference length.
 """
 
@@ -21,16 +24,18 @@ from hyporb import bounds, certify
 from hyporb.bounds import BoundChainResult, ChainViolation, default_w_grid
 from hyporb.certify import (
     _RADIUS_FACTORS,
+    _clearance,
     _cone_density_min,
     _length_floors,
     _local_isolation,
     _modulus_slice,
     _nearest_first,
     certified_curve_length,
+    spearman_rank_correlation,
 )
 from hyporb.curves import PolylineCurve, polyline_point_distance, segment_point_distances
 from hyporb.errors import DomainError
-from hyporb.homotopy import build_representative, epsilon_prime
+from hyporb.homotopy import build_representative, choose_epsilon_n, epsilon_prime
 from hyporb.maps import (
     _TWO_PI,
     SAME_POINT_TOL,
@@ -41,7 +46,7 @@ from hyporb.maps import (
     get_map,
     local_degree,
 )
-from hyporb.models import cone_density_formula
+from hyporb.models import cone_circle_length, cone_density_formula
 from hyporb.orbifolds import (
     _CIRCLE_SAMPLES,
     MarkedOrbifold,
@@ -271,6 +276,61 @@ def polyline_point_distance_reference(curve, p):
     return min(
         segment_point_distance(a, b, p) for a, b in zip(curve.vertices, curve.vertices[1:])
     )
+
+
+def choose_epsilon_n_reference(n: int, eps: float, d: int) -> float:
+    """Largest radius whose full circle costs less than eps/(18 (n+1)).
+
+    The circle length 2*pi*r*rho(r) is strictly monotone (shrinking to 0
+    with the radius), so bisection applies; the returned radius satisfies
+    the target with a 0.99 margin.
+    """
+    if n < 0:
+        raise DomainError("n must be >= 0")
+    if eps <= 0 or d < 1:
+        raise DomainError("need eps > 0 and d >= 1")
+    target = 0.99 * eps / (18.0 * (n + 1))
+    lo, hi = 0.0, eps * (1.0 - 1e-12)
+    if cone_circle_length(d, eps, hi) <= target:
+        return hi
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        if cone_circle_length(d, eps, mid) < target:
+            lo = mid
+        else:
+            hi = mid
+    if lo == 0.0 or cone_circle_length(d, eps, lo) >= target:
+        raise DomainError("bisection failed to certify a circle radius")
+    return lo
+
+
+def spearman_reference(xs: list[float], ys: list[float]) -> float:
+    """Spearman rho with average ranks for ties."""
+    if len(xs) != len(ys) or len(xs) < 2:
+        raise DomainError("need two sequences of equal length >= 2")
+
+    def ranks(vals: list[float]) -> np.ndarray:
+        order = np.argsort(vals, kind="stable")
+        r = np.empty(len(vals))
+        sorted_vals = np.asarray(vals)[order]
+        i = 0
+        while i < len(vals):
+            j = i
+            while j + 1 < len(vals) and sorted_vals[j + 1] == sorted_vals[i]:
+                j += 1
+            r[order[i : j + 1]] = 0.5 * (i + j) + 1.0
+            i = j + 1
+        return r
+
+    rx, ry = ranks(xs), ranks(ys)
+    rx -= rx.mean()
+    ry -= ry.mean()
+    denom = math.sqrt(float((rx**2).sum() * (ry**2).sum()))
+    if denom == 0.0:
+        return 0.0
+    return float((rx * ry).sum() / denom)
 
 
 # ---------------------------------------------------------------------------
@@ -505,6 +565,36 @@ def test_cutoff_returns_inf_or_the_same_length_when_rounds_run_out():
         curve = _random_polyline(rng, orb)
         certified += _cutoff_gives_inf_or_same_length(orb, curve, refinement=0.01, max_rounds=4)
     assert certified >= 3
+
+
+# Mark-free orbifolds: the witness is the largest clean disc, 2 / (boundary distance).
+_MARK_FREE = {
+    "disc": Surface(outer=(0j, 2.0)),
+    "minus_discs": Surface(holes=((3.0 + 0j, 1.0), (-2j, 0.5))),
+    "disc_minus_disc": Surface(outer=(0.2 + 0.1j, 3.0), holes=((1.0 - 0.5j, 0.6),)),
+}
+
+
+@pytest.mark.parametrize("surface", sorted(_MARK_FREE))
+def test_certified_length_matches_per_mark_loop_without_marks(surface):
+    rng = np.random.default_rng(19)
+    orb = MarkedOrbifold(_MARK_FREE[surface], ())
+    certified = 0
+    for _ in range(30):
+        verts, count = [], int(rng.integers(2, 6))
+        while len(verts) < count:
+            z = complex(rng.uniform(-2.5, 2.5), rng.uniform(-2.5, 2.5))
+            if orb.contains(z):
+                verts.append(z)
+        curve = PolylineCurve(verts)
+        a, b = np.asarray(verts[:-1]), np.asarray(verts[1:])
+        assert np.array_equal(_clearance(orb, a, b),
+                              orb.surface.segment_boundary_distances(a, b))
+        refinement = float(rng.choice([0.2, 0.05]))
+        if _same_length_or_same_error(orb, curve, refinement=refinement):
+            _cutoff_gives_inf_or_same_length(orb, curve, refinement=refinement)
+            certified += 1
+    assert certified >= 20  # some segments cross a hole or leave the disc
 
 
 def test_certified_length_straddling_isolation_radius():
@@ -885,3 +975,70 @@ def test_bound_chain_matches_per_sample_loop_on_forced_violations(forced, monkey
 )
 def test_bound_chain_matches_per_sample_loop_on_drawn_grids(w_grid, k_set):
     _assert_same_chain(w_grid, k_set)
+
+
+# ---------------------------------------------------------------------------
+# Circle radius of homotopy representatives
+# ---------------------------------------------------------------------------
+
+
+def _meets_epsilon_n_contract(r, n, eps, d):
+    """L(r) < target <= L(next float up), L the circle length of radius r."""
+    target = 0.99 * eps / (18.0 * (n + 1))
+    return cone_circle_length(d, eps, r) < target <= cone_circle_length(
+        d, eps, math.nextafter(r, math.inf))
+
+
+@pytest.mark.parametrize("d", [2, 3, 6])
+def test_epsilon_n_matches_bisection_on_the_representative_grid(d):
+    for n in range(33):
+        assert choose_epsilon_n(n, 1.0, d) == choose_epsilon_n_reference(n, 1.0, d)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(0.01, 100.0), st.integers(2, 8), st.integers(0, 100))
+def test_epsilon_n_matches_bisection_on_drawn_inputs(eps, d, n):
+    assert choose_epsilon_n(n, eps, d) == choose_epsilon_n_reference(n, eps, d)
+
+
+def test_epsilon_n_meets_its_contract_for_every_order():
+    # At high orders and small eps the radius is so small that 200 halvings
+    # of [0, eps) do not reach its ulp: the bisection stops before its
+    # bracket closes and returns a smaller radius.  Wherever it closes, both
+    # agree.
+    compared = 0
+    for d in range(1, 12):
+        for eps in (0.01, 0.1, 1.0, 100.0):
+            for n in range(101):
+                r = choose_epsilon_n(n, eps, d)
+                assert _meets_epsilon_n_contract(r, n, eps, d), (d, eps, n)
+                want = choose_epsilon_n_reference(n, eps, d)
+                if _meets_epsilon_n_contract(want, n, eps, d):
+                    assert r == want, (d, eps, n)
+                    compared += 1
+    assert compared >= 4000
+
+
+def test_epsilon_n_rejects_a_radius_that_underflows():
+    with pytest.raises(DomainError):
+        choose_epsilon_n(0, 1e-320, 2)
+    with pytest.raises(DomainError):
+        choose_epsilon_n(10**6, 1e-300, 8)
+
+
+# ---------------------------------------------------------------------------
+# Spearman tie ranks
+# ---------------------------------------------------------------------------
+
+_TIED = st.sampled_from([-2.0, -1.0, -0.0, 0.0, 0.5, 1.0, 3.0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_spearman_matches_tie_loop(data):
+    size = data.draw(st.integers(2, 30))
+    xs = data.draw(st.lists(st.integers(-3, 3) | _TIED, min_size=size, max_size=size))
+    ys = data.draw(st.lists(_TIED, min_size=size, max_size=size))
+    assert spearman_rank_correlation(xs, ys) == spearman_reference(xs, ys)
+    ints = data.draw(st.lists(st.integers(-3, 3), min_size=size, max_size=size))
+    assert spearman_rank_correlation(ints, ys) == spearman_reference(ints, ys)
