@@ -20,7 +20,7 @@ import numpy as np
 from .bounds import lambda_lower
 from .curves import PolylineCurve, polyline_point_distance, segment_point_distances
 from .errors import DomainError, PathBlocked
-from .maps import EntireMapSpec, evaluate, nearest_preimage, pullback_curve
+from .maps import EntireMapSpec, evaluate, nearest_first, nearest_preimage, pullback_curve
 from .models import ConeDisc, cone_density, cone_density_formula, hyp_distance_disc
 from .orbifolds import MarkedOrbifold, boundary_set, truncation_warning
 
@@ -140,8 +140,7 @@ def certified_curve_length(
     a, b = _segments(curve.as_array())
     if a.size == 0:
         return 0.0 if 0.0 < cutoff else math.inf
-    clear = _clearance(orb, a, b).min()
-    if clear < mark_margin or clear <= 0:
+    if _blocked(orb, a, b, mark_margin).any():
         raise DomainError("curve touches a mark or the surface boundary")
 
     marks = orb.mark_array
@@ -320,7 +319,7 @@ def expansion_certificate(
         )
 
     arr = np.asarray(boundary, dtype=complex)
-    order = _nearest_first(arr, z)
+    order = nearest_first(arr, z)
     candidates = [boundary[i] for i in order[:_MAX_CANDIDATES]]
     high = order[np.abs(arr.imag[order]) >= 0.5 * abs(z)]
     for i in high[:4]:
@@ -357,14 +356,6 @@ def expansion_certificate(
     )
 
 
-def _nearest_first(arr: np.ndarray, z: complex) -> np.ndarray:
-    """Indices of ``arr`` in the stable order of the key (|p - z|, re p, im p)."""
-    # hypot, as abs() of a Python complex takes it; numpy's complex abs can
-    # differ from it in the last bit and so reorder near-ties
-    dist = np.hypot(arr.real - z.real, arr.imag - z.imag)
-    return np.lexsort((arr.imag, arr.real, dist))
-
-
 def _path_len(pts: list[complex]) -> float:
     return sum(abs(b - a) for a, b in zip(pts, pts[1:]))
 
@@ -374,7 +365,7 @@ def _local_isolation(orb: MarkedOrbifold, z: complex) -> float:
     if marks.size == 0:
         d = orb.surface.boundary_distance(z)
         return d if math.isfinite(d) else 1.0
-    # hypot, as abs() of a Python complex takes it (see _nearest_first)
+    # hypot, as abs() of a Python complex takes it (see maps.nearest_first)
     return float(np.hypot(marks.real - z.real, marks.imag - z.imag).min())
 
 
@@ -384,10 +375,11 @@ def _segments(verts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return verts[:-1][keep], verts[1:][keep]
 
 
-def _clearance(orb: MarkedOrbifold, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Per segment [a, b], the smaller of its distances to the boundary and to the nearest mark."""
+def _blocked(orb: MarkedOrbifold, a: np.ndarray, b: np.ndarray, mark_margin: float) -> np.ndarray:
+    """Per segment [a, b]: within ``mark_margin`` of a mark or the boundary, or touching one."""
     nearest = segment_point_distances(a, b, orb.mark_array).min(axis=0, initial=np.inf)
-    return np.minimum(orb.surface.segment_boundary_distances(a, b), nearest)
+    clear = np.minimum(orb.surface.segment_boundary_distances(a, b), nearest)
+    return (clear < mark_margin) | (clear <= 0)
 
 
 def _cone_density_min(k: float, eps: np.ndarray) -> np.ndarray:
@@ -425,10 +417,7 @@ def _length_floors(orb: MarkedOrbifold, paths: list[list[complex]], mark_margin:
         ids.append(np.full(a_i.size, i))
     a, b, ids = np.concatenate(a), np.concatenate(b), np.concatenate(ids)
     marks = orb.mark_array
-    if not a.size:
-        return [0.0] * len(paths)
-    clear = _clearance(orb, a, b)
-    blocked = (clear < mark_margin) | (clear <= 0)
+    blocked = _blocked(orb, a, b, mark_margin)
     rejected = np.bincount(ids, weights=blocked, minlength=len(paths)) > 0
     for _ in range(_FLOOR_DEPTH):
         mid = 0.5 * (a + b)

@@ -100,6 +100,15 @@ class PointSet:
         return k
 
 
+def nearest_first(points: Iterable[complex], c: complex) -> np.ndarray:
+    """Indices of ``points`` in the stable order of the key (|p - c|, re p, im p)."""
+    arr = np.asarray(points, dtype=complex)
+    # hypot, as abs() of a Python complex takes it; numpy's complex abs can
+    # differ from it in the last bit and so reorder near-ties
+    dist = np.hypot(arr.real - c.real, arr.imag - c.imag)
+    return np.lexsort((arr.imag, arr.real, dist))
+
+
 def _safe_acosh(w: complex) -> complex:
     # cmath.acosh squares its argument internally; fall back to log(2w) for
     # very large |w| where w**2 would overflow.
@@ -149,7 +158,7 @@ def _lattice_preimages(bases: tuple[complex, ...], r_max: float) -> list[complex
     re, im = np.concatenate(res), np.concatenate(ims)
     z = np.empty(re.size, dtype=complex)
     z.real, z.imag = re, im
-    return z[np.lexsort((im, re, np.hypot(re, im)))].tolist()
+    return z[nearest_first(z, 0j)].tolist()
 
 
 def _make_cosh() -> EntireMapSpec:
@@ -417,7 +426,7 @@ def nearest_preimage(map_spec: EntireMapSpec, a: complex) -> complex:
     pres = map_spec.preimages(a, abs(a) + 12.0)
     if not pres:
         raise NotFound(f"no preimage of {a!r} within |z| <= |a| + 12")
-    return min(pres, key=lambda p: (abs(p - a), p.real, p.imag))
+    return pres[nearest_first(pres, a)[0]]
 
 
 def pullback_curve(

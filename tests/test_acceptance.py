@@ -6,12 +6,13 @@ frozen here; runtime limits are asserted where the criterion states one.
 
 import cmath
 import math
+import sys
 import time
 from collections import Counter
 
 import pytest
 
-from hyporb import bounds, certify, homotopy
+from hyporb import bounds, certify, homotopy, orbifolds
 from hyporb.bounds import (
     R_of_w,
     default_w_grid,
@@ -58,29 +59,42 @@ def report(n, ok, detail, elapsed):
     assert ok, f"criterion {n}: {detail}"
 
 
-def test_criterion_01_sharpness_identity():
+def count_calls(monkeypatch, module, names):
+    """Count the calls of each ``module.<name>``; the counts are work measures
+    that, unlike the wall clock, do not drift with the host's speed."""
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    return calls
+
+
+def test_criterion_01_sharpness_identity(monkeypatch):
+    calls = count_calls(monkeypatch, sys.modules[__name__], ("ratio_cone_over_disc", "lambda_lower"))
     t0 = time.monotonic()
     worst = 0.0
     for w in default_w_grid(999):
         worst = max(worst, abs(ratio_cone_over_disc(2, w) - lambda_lower(R_of_w(w))))
     dt = time.monotonic() - t0
-    report(1, worst <= 1e-12 and dt < 1.0, f"sharpness gap {worst:.2e} on 999 points", dt)
+    report(
+        1,
+        worst <= 1e-12 and dt < 1.0
+        and calls == {"ratio_cone_over_disc": 999, "lambda_lower": 999},
+        f"sharpness gap {worst:.2e} on 999 points, {calls['lambda_lower']} lambda_lower calls",
+        dt,
+    )
 
 
 def test_criterion_02_bound_chain(monkeypatch):
-    # work counts next to the clock, independent of the host's speed: one
-    # lambda_lower per radius and one cone ratio per (w, k) pair
-    calls = Counter()
-
-    def counted(name, fn):
-        def wrapper(*args):
-            calls[name] += 1
-            return fn(*args)
-
-        return wrapper
-
-    for name in ("lambda_lower", "_cone_ratio"):
-        monkeypatch.setattr(bounds, name, counted(name, getattr(bounds, name)))
+    # one lambda_lower per radius and one cone ratio per (w, k) pair
+    calls = count_calls(monkeypatch, bounds, ("lambda_lower", "_cone_ratio"))
     t0 = time.monotonic()
     result = verify_bound_chain(default_w_grid(999), range(2, 65))
     worst_upper = max(
@@ -112,7 +126,8 @@ def test_criterion_03_lambda_table(tmp_path):
     report(3, ok, f"emitted table strictly decreasing, >1, Lambda(1) = {at_one:.9f}", dt)
 
 
-def test_criterion_04_pi_sinh_postsingular(pi_sinh_map):
+def test_criterion_04_pi_sinh_postsingular(pi_sinh_map, monkeypatch):
+    calls = count_calls(monkeypatch, orbifolds, ("_newton_fixed_point", "local_degree"))
     t0 = time.monotonic()
     trunc = postsingular_truncation(pi_sinh_map, 10, 1e6)
     pts = trunc.julia_points()
@@ -126,15 +141,19 @@ def test_criterion_04_pi_sinh_postsingular(pi_sinh_map):
     base, _ = build_associated_orbifold(pi_sinh_map, 10)
     rams = [base.ramification(want) for want in expected]
     dt = time.monotonic() - t0
+    # one Newton solve per point of the 12 x 12 seed grid of find_repelling_cycle
     report(
         4,
-        exact and preperiodic and rams == [2, 2, 2] and dt < 1.0,
-        f"postsingular set {{0, +pi i, -pi i}} with ramification {rams}",
+        exact and preperiodic and rams == [2, 2, 2] and dt < 1.0
+        and calls == {"_newton_fixed_point": 144, "local_degree": 82},
+        f"postsingular set {{0, +pi i, -pi i}} with ramification {rams}, "
+        f"{calls['_newton_fixed_point']} Newton solves",
         dt,
     )
 
 
-def test_criterion_05_cosh_separation(cosh_map):
+def test_criterion_05_cosh_separation(cosh_map, monkeypatch):
+    calls = count_calls(monkeypatch, orbifolds, ("local_degree",))
     t0 = time.monotonic()
     trunc = postsingular_truncation(cosh_map, 8, 1e6)
     rep = separation_report(trunc, 2.0, cosh_map)
@@ -144,31 +163,37 @@ def test_criterion_05_cosh_separation(cosh_map):
         and rep.orbit_crit_bound_c == 1
         and rep.max_local_degree == 2
     )
+    julia = len(trunc.julia_points())
     dt = time.monotonic() - t0
     report(
         5,
-        ok and dt < 1.0,
-        f"eps* = {rep.epsilon_star:.6f}, M = {rep.annulus_count_M}, "
+        ok and dt < 1.0 and julia == 7 and calls == {"local_degree": 14},
+        f"eps* = {rep.epsilon_star:.6f}, M = {rep.annulus_count_M} over {julia} Julia points, "
         f"c = {rep.orbit_crit_bound_c}, max degree = {rep.max_local_degree}",
         dt,
     )
 
 
-def test_criterion_06_cone_distance_convergence():
+def test_criterion_06_cone_distance_convergence(monkeypatch):
+    calls = count_calls(monkeypatch, certify, ("segment_point_distances",))
     t0 = time.monotonic()
     orb = MarkedOrbifold(Surface(outer=(0j, 1.0)), ((0j, 2),))
     curve = PolylineCurve([1e-9 + 0j, 0.25 + 0j])
     v4 = certified_curve_length(orb, curve, refinement=1e-4)
+    passes4 = calls["segment_point_distances"]
     v5 = certified_curve_length(orb, curve, refinement=1e-5)
+    passes5 = calls["segment_point_distances"] - passes4
     ok = (
         LOG3 < v4 <= 1.02 * LOG3
         and LOG3 < v5 <= 1.002 * LOG3
     )
     dt = time.monotonic() - t0
+    # segment-mark distance passes: the rejection test and one per bounding call
     report(
         6,
-        ok and dt < 5.0,
-        f"radial bounds {v4:.6f} and {v5:.6f} vs log 3 = {LOG3:.6f}, always from above",
+        ok and dt < 5.0 and (passes4, passes5) == (8, 7),
+        f"radial bounds {v4:.6f} and {v5:.6f} vs log 3 = {LOG3:.6f}, always from above, "
+        f"from {passes4} and {passes5} distance passes",
         dt,
     )
 
@@ -253,22 +278,8 @@ def test_criterion_09_pullback_shrinking(cosh_map, cosh_pair):
 
 
 def test_criterion_10_homotopy_representatives(monkeypatch):
-    passes = circles = 0
-    distances = certify.segment_point_distances
-    circle_length = homotopy.cone_circle_length
-
-    def counted(*args):
-        nonlocal passes
-        passes += 1
-        return distances(*args)
-
-    def counted_circle(*args):
-        nonlocal circles
-        circles += 1
-        return circle_length(*args)
-
-    monkeypatch.setattr(certify, "segment_point_distances", counted)
-    monkeypatch.setattr(homotopy, "cone_circle_length", counted_circle)
+    distance_calls = count_calls(monkeypatch, certify, ("segment_point_distances",))
+    circle_calls = count_calls(monkeypatch, homotopy, ("cone_circle_length",))
     t0 = time.monotonic()
     eps = 1.0
     ok = True
@@ -289,6 +300,8 @@ def test_criterion_10_homotopy_representatives(monkeypatch):
                 worst = max(worst, length)
                 ok = ok and length < eps / 6.0 and wind == sign * n
     dt = time.monotonic() - t0
+    passes = distance_calls["segment_point_distances"]
+    circles = circle_calls["cone_circle_length"]
     # deterministic work counts beside the wall-clock bound, which drifts with
     # the host's speed: the vertices of the 198 representatives, the
     # segment-mark distance passes that certify their lengths, and the circle

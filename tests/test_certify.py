@@ -15,7 +15,6 @@ from hyporb.certify import (
     _candidate_paths,
     _length_floors,
     _local_isolation,
-    _nearest_first,
     _path_len,
     annulus_uniformity_scan,
     certified_curve_length,
@@ -26,6 +25,7 @@ from hyporb.certify import (
 )
 from hyporb.curves import PolylineCurve
 from hyporb.errors import DomainError, PathBlocked
+from hyporb.maps import nearest_first
 from hyporb.models import ConeDisc, cone_density_formula, density
 from hyporb.orbifolds import (
     MarkedOrbifold,
@@ -154,7 +154,7 @@ def test_expansion_certificates_on_cosh(cosh_map, cosh_pair):
 def _exhaustive_search(base, z, supply):
     """``((R_bar, path) or None, [(path, length or None)])``: every candidate path certified in full."""
     arr = np.asarray(supply, dtype=complex)
-    order = _nearest_first(arr, z)
+    order = nearest_first(arr, z)
     candidates = [supply[i] for i in order[:_MAX_CANDIDATES]]
     for i in order[np.abs(arr.imag[order]) >= 0.5 * abs(z)][:4]:
         if supply[i] not in candidates:

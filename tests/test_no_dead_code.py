@@ -11,6 +11,10 @@ as used when some attribute read (an ``Attribute`` in load context) in
 ``src/hyporb`` names it.  An import counts as used when the name it binds
 appears as a ``Name`` in the importing module; ``hyporb/__init__.py``, whose
 imports are the re-exports, and ``from __future__`` imports are exempt.
+
+The point order (|p - c|, re p, im p) has one home, ``maps.nearest_first``:
+no other code in ``src/hyporb`` calls ``lexsort`` or sorts by a
+``key=lambda`` that builds ``(abs(...), ....real, ....imag)``.
 """
 
 import ast
@@ -68,6 +72,40 @@ def unread_attributes(package_dir: Path) -> list[str]:
     return unread
 
 
+def _is_point_key(node: ast.expr) -> bool:
+    """Whether ``node`` is a lambda returning ``(abs(...), <x>.real, <y>.imag)``."""
+    if not (isinstance(node, ast.Lambda) and isinstance(node.body, ast.Tuple)):
+        return False
+    parts = node.body.elts
+    return (
+        len(parts) == 3
+        and isinstance(parts[0], ast.Call)
+        and isinstance(parts[0].func, ast.Name)
+        and parts[0].func.id == "abs"
+        and [getattr(part, "attr", None) for part in parts[1:]] == ["real", "imag"]
+    )
+
+
+def point_order_copies(package_dir: Path) -> list[str]:
+    """``lexsort`` calls outside ``maps.nearest_first``, and point-order sort keys."""
+    copies = []
+    for filename, tree in _trees(package_dir).items():
+        home = {
+            id(inner)
+            for node in ast.walk(tree)
+            if filename == "maps.py" and getattr(node, "name", None) == "nearest_first"
+            for inner in ast.walk(node)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and id(node) not in home:
+                name = getattr(node.func, "attr", None) or getattr(node.func, "id", None)
+                if name == "lexsort":
+                    copies.append(f"{filename}:{node.lineno} lexsort")
+            if isinstance(node, ast.keyword) and node.arg == "key" and _is_point_key(node.value):
+                copies.append(f"{filename}:{node.value.lineno} key=lambda")
+    return copies
+
+
 def unused_imports(path: Path) -> list[str]:
     tree = ast.parse(path.read_text())
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
@@ -89,6 +127,10 @@ def test_every_definition_is_referenced_in_the_package():
 
 def test_every_instance_attribute_is_read_in_the_package():
     assert unread_attributes(Path(hyporb.__file__).parent) == []
+
+
+def test_the_point_order_has_one_home():
+    assert point_order_copies(Path(hyporb.__file__).parent) == []
 
 
 def test_every_import_is_used():

@@ -300,6 +300,16 @@ def test_separation_scale_and_permutation_invariance(t, perm):
     assert annulus_count(scaled, 2.0) == annulus_count(pts, 2.0)
 
 
+def test_annulus_count_includes_both_closed_ends():
+    # moduli exactly K apart lie on the inner and outer circle of one closed annulus
+    assert annulus_count([1, 2], 2.0) == 2
+    assert annulus_count([3, 6j], 2.0) == 2
+    assert annulus_count([1, 2.0000000001], 2.0) == 1
+    # no annulus r > 0 holds the origin
+    assert annulus_count([0j, 0j, 0j], 2.0) == 0
+    assert annulus_count([], 2.0) == 0
+
+
 def test_absorbing_disc_examples(cosh_minus_one_map):
     disc = find_absorbing_disc(cosh_minus_one_map, 0j)
     assert disc.radius == 0.5

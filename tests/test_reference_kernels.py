@@ -1,15 +1,18 @@
 """The fast kernels against their plain loop versions, kept here as references.
 
-The same-point rule (``PointSet``), the annulus count, the lattice preimages,
-surface containment, the boundary set, the scan's supply slice, the certified
-curve length, the candidate order of expansion certificates and the bound
-chain were rewritten
-for speed without changing any arithmetic, so each must agree with its
-reference exactly, bit for bit.  The circle radius of homotopy
-representatives and the Spearman tie ranks were rewritten as closed forms,
-which must agree bit for bit with the loops they replaced wherever those
-loops finish.  The length floor that lets expansion certificates skip
-candidate paths is a bound instead: it must never exceed the reference length.
+The same-point rule (``PointSet``), the lattice preimages, surface
+containment, the boundary set, the scan's supply slice, the certified curve
+length, the point order (``maps.nearest_first``) and the bound chain were
+rewritten for speed without changing any arithmetic, so each must agree with
+its reference exactly, bit for bit.  So must the sites that now share one
+rule: the branch seed of a pullback and the repelling fixed point, which
+once had a sort key and a same-point tolerance of their own.  The annulus
+count is exact: it must agree with the quadratic loop over closed annuli.
+The circle radius of homotopy representatives and the Spearman tie ranks
+were rewritten as closed forms, which must agree bit for bit with the loops
+they replaced wherever those loops finish.  The length floor that lets
+expansion certificates skip candidate paths is a bound instead: it must
+never exceed the reference length.
 """
 
 import cmath
@@ -24,12 +27,11 @@ from hyporb import bounds, certify
 from hyporb.bounds import BoundChainResult, ChainViolation, default_w_grid
 from hyporb.certify import (
     _RADIUS_FACTORS,
-    _clearance,
+    _blocked,
     _cone_density_min,
     _length_floors,
     _local_isolation,
     _modulus_slice,
-    _nearest_first,
     certified_curve_length,
     spearman_rank_correlation,
 )
@@ -45,6 +47,9 @@ from hyporb.maps import (
     _pi_sinh_bases,
     get_map,
     local_degree,
+    nearest_first,
+    nearest_preimage,
+    postsingular_truncation,
 )
 from hyporb.models import cone_circle_length, cone_density_formula
 from hyporb.orbifolds import (
@@ -52,8 +57,10 @@ from hyporb.orbifolds import (
     MarkedOrbifold,
     Surface,
     _circle,
+    _newton_fixed_point,
     annulus_count,
     boundary_set,
+    find_repelling_cycle,
 )
 
 # ---------------------------------------------------------------------------
@@ -74,14 +81,28 @@ def find_reference(points, z, tol=1e-9):
 
 
 def annulus_count_reference(points, K):
-    moduli = sorted(abs(p) for p in points)
-    best = 0
-    for m in moduli:
-        for r in (m * (1 - 1e-9), m * (1 + 1e-9), m / K * (1 - 1e-9)):
-            if r > 0:
-                count = sum(1 for q in moduli if r * (1 - 1e-12) <= q <= K * r * (1 + 1e-12))
-                best = max(best, count)
-    return best
+    """Points in the closed annulus m <= |z| <= K m, at best over the nonzero moduli m."""
+    moduli = [abs(p) for p in points]
+    return max((sum(1 for q in moduli if m <= q <= K * m) for m in moduli if m > 0), default=0)
+
+
+def repelling_cycle_reference(map_spec, exclude, seed_box=(1.0 + 4.0j, 4.0 + 9.0j)):
+    """``find_repelling_cycle`` with the 1e-8 same-point test it had before ``PointSet``.
+
+    Returns the cycle and the accepted fixed points.
+    """
+    lo, hi = seed_box
+    found = []
+    for re in np.linspace(lo.real, hi.real, 12):
+        for im in np.linspace(lo.imag, hi.imag, 12):
+            z = _newton_fixed_point(map_spec, complex(re, im))
+            if z is None or abs(map_spec.deriv(z)) <= 1.0 + 1e-6:
+                continue
+            if any(abs(z - q) < 1e-6 for q in exclude):
+                continue
+            if all(abs(z - f) > 1e-8 for f in found):
+                found.append(z)
+    return [min(found, key=lambda z: (abs(z), z.real, z.imag))], found
 
 
 # the branch bases of each catalogue map, as ``EntireMapSpec.preimages`` forms them
@@ -398,13 +419,9 @@ def test_dedup_keeps_first_point_of_a_chain():
     st.sampled_from([1.5, 2.0, 4.0, 10.0]),
 )
 def test_annulus_count_matches_quadratic_loop(points, K):
-    # add points exactly on both closed ends of the first points' candidate annuli
-    ends = [
-        e
-        for m in (abs(p) for p in points[:2])
-        for r in (m * (1 - 1e-9), m * (1 + 1e-9), m / K * (1 - 1e-9))
-        for e in (r * (1 - 1e-12), K * r * (1 + 1e-12))
-    ]
+    # add points exactly on the closed ends of the annuli whose inner or outer
+    # circle passes through one of the first points
+    ends = [e for m in (abs(p) for p in points[:2]) for e in (K * m, m / K)]
     points = points + [complex(e, 0.0) for e in ends]
     assert annulus_count(points, K) == annulus_count_reference(points, K)
 
@@ -588,8 +605,9 @@ def test_certified_length_matches_per_mark_loop_without_marks(surface):
                 verts.append(z)
         curve = PolylineCurve(verts)
         a, b = np.asarray(verts[:-1]), np.asarray(verts[1:])
-        assert np.array_equal(_clearance(orb, a, b),
-                              orb.surface.segment_boundary_distances(a, b))
+        bdy = orb.surface.segment_boundary_distances(a, b)
+        for margin in (1e-9, 0.0):  # the homotopy command passes 0.0
+            assert np.array_equal(_blocked(orb, a, b, margin), (bdy < margin) | (bdy <= 0))
         refinement = float(rng.choice([0.2, 0.05]))
         if _same_length_or_same_error(orb, curve, refinement=refinement):
             _cutoff_gives_inf_or_same_length(orb, curve, refinement=refinement)
@@ -891,7 +909,7 @@ _COORD = st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0, 3.25])
 def test_nearest_first_matches_sorted(lattice, z, scattered):
     # lattice points tie in distance, in real part and as duplicates
     pts = lattice + scattered + lattice[:5]
-    got = [int(i) for i in _nearest_first(np.asarray(pts, dtype=complex), z)]
+    got = [int(i) for i in nearest_first(pts, z)]
     assert got == nearest_first_reference(pts, z)
 
 
@@ -900,8 +918,51 @@ def test_nearest_first_orders_near_ties_like_sorted():
     # bits, so the order shows any change in how the distance is rounded
     z = 0.7 - 1.3j
     pts = [z + 3.0 * complex(math.cos(t), math.sin(t)) for t in np.linspace(0.0, 6.0, 400)]
-    got = [int(i) for i in _nearest_first(np.asarray(pts, dtype=complex), z)]
+    got = [int(i) for i in nearest_first(np.asarray(pts, dtype=complex), z)]
     assert got == nearest_first_reference(pts, z)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.builds(complex, _COORD, _COORD), max_size=30),
+    st.lists(st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False),
+             max_size=10),
+)
+def test_nearest_first_about_zero_matches_lexsort_by_modulus(lattice, scattered):
+    # the inline form the lattice preimages and boundary_set sorted with
+    signed_zeros = [complex(-0.0, 1.0), 1j, complex(-0.0, -0.0), 0j, complex(2.0, -0.0)]
+    pts = np.asarray(lattice + signed_zeros + scattered + lattice[:5], dtype=complex)
+    want = np.lexsort((pts.imag, pts.real, np.hypot(pts.real, pts.imag)))
+    assert nearest_first(pts, 0j).tolist() == want.tolist()
+    circle = np.exp(1j * np.linspace(0.0, 6.0, 400)) * 3.0
+    want = np.lexsort((circle.imag, circle.real, np.hypot(circle.real, circle.imag)))
+    assert nearest_first(circle, 0j).tolist() == want.tolist()
+
+
+@pytest.mark.parametrize("name", sorted(_MAP_BASES))
+def test_nearest_preimage_matches_min_by_sort_key(name):
+    spec = get_map(name)
+    rng = np.random.default_rng(sorted(_MAP_BASES).index(name) + 7)
+    # the window |z| <= |a| + 12 holds about |a| / pi preimages, so leave out the escaping points
+    values = [p.point for p in postsingular_truncation(spec, 8).points if abs(p.point) < 1e4]
+    values += [complex(v) for v in rng.uniform(-40.0, 40.0, 60) + 1j * rng.uniform(-40.0, 40.0, 60)]
+    values += [5.5 + 0.5j, 0.5j, 1e-300 + 0j]
+    for a in values:
+        pres = spec.preimages(a, abs(a) + 12.0)
+        want = min(pres, key=lambda p: (abs(p - a), p.real, p.imag))
+        assert _bits([nearest_preimage(spec, a)]) == _bits([want]), a
+
+
+@pytest.mark.parametrize("name", sorted(_MAP_BASES))
+@pytest.mark.parametrize("depth", [4, 8, 12])
+def test_repelling_cycle_matches_loop_with_its_own_tolerance(name, depth):
+    spec = get_map(name)
+    exclude = [p.point for p in postsingular_truncation(spec, depth).points]
+    want, found = repelling_cycle_reference(spec, exclude)
+    assert _bits(find_repelling_cycle(spec, exclude=exclude)) == _bits(want)
+    # the accepted points lie far apart, so a tolerance of 1e-8 or 1e-9 keeps the same ones
+    assert len(found) >= 9
+    assert min(abs(z - w) for i, z in enumerate(found) for w in found[:i]) > 1.0
 
 
 # ---------------------------------------------------------------------------
