@@ -45,6 +45,10 @@ _LOOKAHEAD_CELLS = 1024
 # A candidate path is skipped once its floor exceeds the best length by this
 # relative margin, far above the rounding of either sum.
 _FLOOR_SLACK = 1e-9
+# Candidate paths bounded together by one round loop.  Each round's arrays
+# grow with the paths: all of a certificate's paths at once took about 17%
+# more peak memory on an `expansion --map cosh` run than 4 at a time.
+_BATCH_PATHS = 4
 
 
 @dataclass(frozen=True)
@@ -138,11 +142,51 @@ def certified_curve_length(
     if refinement <= 0:
         raise DomainError("refinement must be positive")
     a, b = _segments(curve.as_array())
-    if a.size == 0:
-        return 0.0 if 0.0 < cutoff else math.inf
     if _blocked(orb, a, b, mark_margin).any():
         raise DomainError("curve touches a mark or the surface boundary")
+    return _bounded_lengths(orb, a, b, None, refinement, [cutoff], max_rounds)[0]
 
+
+def _curve_lengths(
+    orb: MarkedOrbifold,
+    paths: list[list[complex]],
+    refinements: list[float],
+    mark_margin: float,
+    cutoffs: list[float],
+    max_rounds: int = 60,
+) -> list[float | None]:
+    """``certified_curve_length`` of each path with its refinement and cutoff, all bounded together.
+
+    ``None`` stands for a path that ``certified_curve_length`` rejects; every
+    other entry is the float that call returns.
+    """
+    refinements = np.asarray(refinements)
+    a, b, ids, rejected = _path_segments(orb, paths, mark_margin)
+    rejected |= refinements <= 0
+    keep = ~rejected[ids]
+    lengths = _bounded_lengths(orb, a[keep], b[keep], ids[keep], refinements, cutoffs, max_rounds)
+    return [None if r else length for r, length in zip(rejected.tolist(), lengths)]
+
+
+def _bounded_lengths(
+    orb: MarkedOrbifold,
+    a: np.ndarray,
+    b: np.ndarray,
+    ids: np.ndarray | None,
+    refinement: float | np.ndarray,
+    cutoffs: list[float],
+    max_rounds: int,
+) -> list[float]:
+    """The round loop of ``certified_curve_length`` over the segments ``[a, b]`` of several paths.
+
+    ``ids[i]`` is the path of segment i and ``refinement[p]`` that of path p;
+    ``ids`` None means one path, of refinement ``refinement``.  Every path's
+    pieces share each ``piece_bounds`` call, and a path drops out once its
+    total reaches its cutoff.  A path's pieces keep their relative order in
+    every round (a mask keeps order, and halving gives ``[a, mid]``), so each
+    path sums the same products in the same order as alone: each total is
+    the float that ``certified_curve_length`` gives the path alone.
+    """
     marks = orb.mark_array
     cone_groups = orb.cone_groups
 
@@ -171,11 +215,13 @@ def certified_curve_length(
             far = np.minimum(far, np.where(inside, cone_far, np.inf).min(axis=0))
         return sup, far
 
-    total = 0.0
+    totals = [0.0] * len(cutoffs)
     ahead = 0  # levels of the last piece_bounds call not yet replayed
     for r in range(max_rounds):
+        if not a.size:
+            break
         lens = np.abs(b - a)
-        split = lens > refinement
+        split = lens > (refinement if ids is None else refinement[ids])
         # a round in which every piece is too long only halves
         if not split.all():
             bounded = ~split
@@ -194,15 +240,21 @@ def certified_curve_length(
             sup = sup_t[at]
             split[bounded] = sup > _TIGHTEN * far_t[at]
             done = ~split
-            total += float((lens[done] * sup[done[bounded]]).sum())
-            if total >= cutoff:
-                return math.inf
+            products = lens[done] * sup[done[bounded]]
+            if _add_finished(totals, cutoffs, products, None if ids is None else ids[done]):
+                if ids is None:
+                    break
+                split &= np.isfinite(totals)[ids]  # drop the pieces of paths at their cutoff
             if not split.any():
                 break
             a, b, pos = a[split], b[split], pos[split]
+            if ids is not None:
+                ids = ids[split]
         mid = 0.5 * (a + b)
         a = np.concatenate([a, mid])
         b = np.concatenate([mid, b])
+        if ids is not None:
+            ids = np.concatenate([ids, ids])
         if ahead > 1:
             # a piece's halves sit one and two of its level's sizes further on
             pos, step = np.concatenate([pos + step, pos + 2 * step]), 2 * step
@@ -210,10 +262,29 @@ def certified_curve_length(
     else:
         lens = np.abs(b - a)
         sup, _ = piece_bounds(a, b)
-        total += float(np.sum(lens * sup))
-        if total >= cutoff:
-            return math.inf
-    return total
+        _add_finished(totals, cutoffs, lens * sup, ids)
+    # a path without pieces has length 0
+    return [math.inf if total >= cutoff else total for total, cutoff in zip(totals, cutoffs)]
+
+
+def _add_finished(
+    totals: list[float], cutoffs: list[float], products: np.ndarray, ids: np.ndarray | None
+) -> bool:
+    """Add each path's products of finished pieces to its total; whether a total reached its cutoff.
+
+    Each path's products are summed by one ``.sum()``, in piece order, and a
+    total that reaches its path's cutoff becomes ``inf`` and stays so.
+    ``ids`` None means every product is of the one path.
+    """
+    reached = False
+    for p, cutoff in enumerate(cutoffs):
+        if totals[p] == math.inf:
+            continue
+        totals[p] += float((products if ids is None else products[ids == p]).sum())
+        if totals[p] >= cutoff:
+            totals[p] = math.inf
+            reached = True
+    return reached
 
 
 def _lookahead_depth(cells: int, rounds_left: int) -> int:
@@ -282,23 +353,28 @@ def _candidate_paths(z: complex, b: complex) -> list[list[complex]]:
 def expansion_certificate(
     pair: tuple[MarkedOrbifold, MarkedOrbifold],
     z: complex,
-    boundary: list[complex],
+    boundary: list[complex] | np.ndarray,
     refinement: float = 1e-3,
 ) -> ExpansionCertificate:
-    """Certify an expansion floor at ``z`` from a list of boundary points.
+    """Certify an expansion floor at ``z`` from boundary points (a list or a complex array).
 
     Candidate boundary points (nearest by Euclidean distance, plus a
     high-imaginary selection that keeps paths away from mark rows) are joined
     to ``z`` by straight or single-waypoint paths; the smallest certified
-    path length wins.  A path whose length floor (``_length_floors``)
-    exceeds the best length so far is skipped, and every other path passes
-    that length as its ``cutoff``, so a losing path stops early; the winner
-    is the same.
+    path length wins, the earliest such path in candidate order on a tie.
+    Paths are tried in the stable order of their length floors
+    (``_length_floors``).  The first one that is not rejected is certified
+    alone; the rest are bounded together, ``_BATCH_PATHS`` at a time, each
+    with the best length so far as its ``cutoff`` (one ulp above it for a
+    path that precedes the best one in candidate order, which wins a tie),
+    so a losing path stops early.  A path whose floor exceeds the best
+    length so far is skipped.  The winner is the same as certifying every
+    path in full.
     On a mark-free disc orbifold the exact hyperbolic distance is used,
     which reproduces the sharp single-cone case.
     """
     base, lift = pair
-    if not boundary:
+    if len(boundary) == 0:
         raise PathBlocked("empty boundary set")
     z = complex(z)
     if lift.ramification(z) > 1 or base.ramification(z) > 1:
@@ -306,9 +382,10 @@ def expansion_certificate(
     if not base.contains(z):
         raise DomainError(f"{z!r} outside the base surface")
 
+    arr = np.asarray(boundary, dtype=complex)
     disc = base.surface.outer
     if disc is not None and not base.surface.holes and not base.marks:
-        b = min(boundary, key=lambda p: _exact_disc_distance(disc, z, p))
+        b = min(arr.tolist(), key=lambda p: _exact_disc_distance(disc, z, p))
         R_bar = _exact_disc_distance(disc, z, b)
         return ExpansionCertificate(
             point=z,
@@ -318,42 +395,69 @@ def expansion_certificate(
             truncation_depth=base.truncation_depth,
         )
 
-    arr = np.asarray(boundary, dtype=complex)
-    order = nearest_first(arr, z)
-    candidates = [boundary[i] for i in order[:_MAX_CANDIDATES]]
-    high = order[np.abs(arr.imag[order]) >= 0.5 * abs(z)]
-    for i in high[:4]:
-        if boundary[i] not in candidates:
-            candidates.append(boundary[i])
+    # hypot, as nearest_first measures
+    dist = np.hypot(arr.real - z.real, arr.imag - z.imag)
+    candidates = arr[_nearest(arr, dist, z, _MAX_CANDIDATES)].tolist()
+    high = np.flatnonzero(np.abs(arr.imag) >= 0.5 * abs(z))
+    for p in arr[high[_nearest(arr[high], dist[high], z, 4)]].tolist():
+        if p not in candidates:
+            candidates.append(p)
 
     margin = _MARGIN_REL * _local_isolation(base, z)
     paths = [path_pts for b in candidates for path_pts in _candidate_paths(z, b)]
-    best: tuple[float, list[complex]] | None = None
-    for path_pts, floor in zip(paths, _length_floors(base, paths, margin)):
-        if best is not None and floor > best[0] * (1.0 + _FLOOR_SLACK):
-            continue  # it would return inf at the cutoff
+    floors = _length_floors(base, paths, margin)
+
+    def refine(i: int) -> float:
+        return max(refinement, _path_len(paths[i]) / 256.0)
+
+    order = sorted(range(len(paths)), key=floors.__getitem__)
+    best: tuple[float, int] | None = None  # (length, path index)
+    for n, i in enumerate(order):
         try:
             length = certified_curve_length(
-                base,
-                PolylineCurve(path_pts),
-                refinement=max(refinement, _path_len(path_pts) / 256.0),
-                mark_margin=margin,
-                cutoff=math.inf if best is None else best[0],
+                base, PolylineCurve(paths[i]), refinement=refine(i), mark_margin=margin
             )
         except DomainError:
             continue
-        if math.isfinite(length) and (best is None or length < best[0]):
-            best = (length, path_pts)
+        if math.isfinite(length):
+            best = (length, i)
+            break
     if best is None:
         raise PathBlocked(f"no mark-avoiding path from {z!r} to the boundary set")
-    R_bar, path_pts = best
+    rest = order[n + 1 :]
+    # a path whose floor exceeds the best length would return inf at its cutoff
+    while rest := [i for i in rest if floors[i] <= best[0] * (1.0 + _FLOOR_SLACK)]:
+        chunk, rest = rest[:_BATCH_PATHS], rest[_BATCH_PATHS:]
+        cutoffs = [math.nextafter(best[0], math.inf) if i < best[1] else best[0] for i in chunk]
+        lengths = _curve_lengths(
+            base, [paths[i] for i in chunk], [refine(i) for i in chunk], margin, cutoffs
+        )
+        for i, length in zip(chunk, lengths):
+            if length is not None and (length, i) < best:
+                best = (length, i)
+    R_bar, i = best
     return ExpansionCertificate(
         point=z,
-        path=PolylineCurve(path_pts),
+        path=PolylineCurve(paths[i]),
         R_bar=R_bar,
         lambda_bar=lambda_lower(R_bar),
         truncation_depth=base.truncation_depth,
     )
+
+
+def _nearest(arr: np.ndarray, dist: np.ndarray, z: complex, k: int) -> np.ndarray:
+    """The first ``k`` indices of ``nearest_first(arr, z)``, without ordering all of ``arr``.
+
+    ``dist`` holds each point's distance to ``z`` as ``nearest_first``
+    measures it.  Every point among the first ``k`` lies within the ``k``-th
+    smallest distance, so only those points are ordered; ``flatnonzero``
+    keeps them in index order, which breaks full ties as the stable order
+    of all points does.
+    """
+    near = np.arange(arr.size)
+    if arr.size > k:
+        near = np.flatnonzero(dist <= np.partition(dist, k - 1)[k - 1])
+    return near[nearest_first(arr[near], z)[:k]]
 
 
 def _path_len(pts: list[complex]) -> float:
@@ -373,6 +477,21 @@ def _segments(verts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(starts, ends) of the polyline's segments of nonzero length."""
     keep = np.abs(verts[1:] - verts[:-1]) > 0
     return verts[:-1][keep], verts[1:][keep]
+
+
+def _path_segments(
+    orb: MarkedOrbifold, paths: list[list[complex]], mark_margin: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(starts, ends, path ids) of every path's segments of nonzero length, path after path,
+    and per path whether ``_blocked`` rejects one of its segments.
+    """
+    verts = np.array([v for pts in paths for v in pts], dtype=complex)
+    owner = np.repeat(np.arange(len(paths)), [len(pts) for pts in paths])
+    # a segment joins two vertices of one path
+    keep = (owner[1:] == owner[:-1]) & (np.abs(verts[1:] - verts[:-1]) > 0)
+    a, b, ids = verts[:-1][keep], verts[1:][keep], owner[:-1][keep]
+    blocked = _blocked(orb, a, b, mark_margin)
+    return a, b, ids, np.bincount(ids, weights=blocked, minlength=len(paths)) > 0
 
 
 def _blocked(orb: MarkedOrbifold, a: np.ndarray, b: np.ndarray, mark_margin: float) -> np.ndarray:
@@ -409,16 +528,8 @@ def _length_floors(orb: MarkedOrbifold, paths: list[list[complex]], mark_margin:
     rejects up front, one with a segment within ``mark_margin`` of a mark or
     of the boundary: it is never skipped, and its rejection is seen.
     """
-    a, b, ids = [], [], []
-    for i, pts in enumerate(paths):
-        a_i, b_i = _segments(np.asarray(pts, dtype=complex))
-        a.append(a_i)
-        b.append(b_i)
-        ids.append(np.full(a_i.size, i))
-    a, b, ids = np.concatenate(a), np.concatenate(b), np.concatenate(ids)
+    a, b, ids, rejected = _path_segments(orb, paths, mark_margin)
     marks = orb.mark_array
-    blocked = _blocked(orb, a, b, mark_margin)
-    rejected = np.bincount(ids, weights=blocked, minlength=len(paths)) > 0
     for _ in range(_FLOOR_DEPTH):
         mid = 0.5 * (a + b)
         a, b, ids = np.concatenate([a, mid]), np.concatenate([mid, b]), np.concatenate([ids, ids])
@@ -486,8 +597,8 @@ def annulus_uniformity_scan(
     shared = boundary_set(map_spec, lift, base, 4.0 * max(scales) * max(_RADIUS_FACTORS))
     for t in scales:
         r_lo, r_hi = t / 8.0, 4.0 * t * max(_RADIUS_FACTORS)
-        supply = _modulus_slice(shared, r_lo, r_hi)
-        if not supply:
+        supply = np.asarray(_modulus_slice(shared, r_lo, r_hi), dtype=complex)
+        if not supply.size:
             rows.append(
                 ScanRow(scale=t, max_R_bar=math.nan, min_lambda_bar=math.nan, samples=0,
                         truncation_warning=True)

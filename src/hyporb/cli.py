@@ -288,8 +288,9 @@ def cmd_expansion(cfg: RunConfig) -> int:
     spec, pair = _build_pair(cfg)
     base, lift = pair
     supply = boundary_set(spec, lift, base, 8.0 * cfg.sample_r_max)
+    supply_arr = np.asarray(supply, dtype=complex)  # converted once for all certificates
     certs = [
-        expansion_certificate(pair, z, supply, refinement=cfg.refinement)
+        expansion_certificate(pair, z, supply_arr, refinement=cfg.refinement)
         for z in sample_points(cfg)
     ]
     min_lambda = min(c.lambda_bar for c in certs)

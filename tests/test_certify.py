@@ -9,10 +9,12 @@ import pytest
 from hyporb import certify
 from hyporb.bounds import lambda_lower
 from hyporb.certify import (
+    _BATCH_PATHS,
     _FLOOR_SLACK,
     _MAX_CANDIDATES,
     CleanDisc,
     _candidate_paths,
+    _curve_lengths,
     _length_floors,
     _local_isolation,
     _path_len,
@@ -20,10 +22,11 @@ from hyporb.certify import (
     certified_curve_length,
     expansion_certificate,
     pullback_shrinking_experiment,
+    sample_angles,
     spearman_rank_correlation,
     upper_density_bound,
 )
-from hyporb.curves import PolylineCurve
+from hyporb.curves import PolylineCurve, segment_point_distances
 from hyporb.errors import DomainError, PathBlocked
 from hyporb.maps import nearest_first
 from hyporb.models import ConeDisc, cone_density_formula, density
@@ -190,37 +193,84 @@ def test_certificate_search_matches_exhaustive_search(name, request, monkeypatch
             points.append(z)
     expected = [_exhaustive_search(base, z, supply) for z in points]
 
-    # a path whose floor exceeds the best length so far is skipped, and every
-    # other loser stops at that length: it returns inf, and few paths finish
-    count = {"calls": 0, "finished": 0}
+    # Paths go in the stable order of their floors.  Up to the first one that
+    # is not rejected each is certified alone; the others are bounded in
+    # chunks of _BATCH_PATHS, and a path whose floor exceeds the best length
+    # so far is skipped.  Every loser stops at its cutoff and returns inf, so
+    # few paths finish.
+    count = {"calls": 0, "batched": 0, "finished": 0}
+    measured = []
 
-    def counted(*args, **kwargs):
+    def counted(orb, curve, *args, **kwargs):
         count["calls"] += 1
-        length = certified_curve_length(*args, **kwargs)
+        measured.append(curve.vertices)
+        length = certified_curve_length(orb, curve, *args, **kwargs)
         count["finished"] += math.isfinite(length)
         return length
 
+    def batched(orb, paths, *args, **kwargs):
+        assert 1 <= len(paths) <= _BATCH_PATHS
+        count["batched"] += len(paths)
+        measured.extend(paths)
+        lengths = _curve_lengths(orb, paths, *args, **kwargs)
+        count["finished"] += sum(x is not None and math.isfinite(x) for x in lengths)
+        return lengths
+
     monkeypatch.setattr(certify, "certified_curve_length", counted)
+    monkeypatch.setattr(certify, "_curve_lengths", batched)
     skipped_total = 0
     for z, (best, tried) in zip(points, expected):
-        before = count["calls"]
+        measured.clear()
         cert = expansion_certificate(pair, z, supply)
         assert best is not None
         assert (cert.R_bar, cert.path.vertices) == (best[0], best[1])
         floors = _length_floors(base, [path for path, _ in tried], 1e-3 * _local_isolation(base, z))
-        skipped, so_far = 0, None
         for (_, length), floor in zip(tried, floors):
             # the floor is sound on real certificates: never above the length
             assert length is None or floor <= length
-            if so_far is not None and floor > so_far * (1.0 + _FLOOR_SLACK):
-                skipped += 1
-            elif length is not None and (so_far is None or length < so_far):
-                so_far = length
-        assert count["calls"] - before + skipped == len(tried)
-        skipped_total += skipped
+        order = sorted(range(len(tried)), key=floors.__getitem__)
+        want, so_far = [], None
+        for n, i in enumerate(order):
+            want.append(i)
+            if tried[i][1] is not None:
+                so_far = (tried[i][1], i)
+                break
+        rest = order[n + 1 :]
+        while rest:
+            rest = [i for i in rest if floors[i] <= so_far[0] * (1.0 + _FLOOR_SLACK)]
+            chunk, rest = rest[:_BATCH_PATHS], rest[_BATCH_PATHS:]
+            want += chunk
+            so_far = min([so_far] + [(tried[i][1], i) for i in chunk if tried[i][1] is not None])
+        # each path measured exactly once, by a call or in a batch, in that
+        # order; each other path skipped by a floor above the winner's length
+        assert [list(path) for path in measured] == [tried[i][0] for i in want]
+        assert len(set(want)) == len(want)
+        for i in set(range(len(tried))) - set(want):
+            assert floors[i] > best[0] * (1.0 + _FLOOR_SLACK)
+        skipped_total += len(tried) - len(want)
     # about 36 per certificate without the cutoff
     assert count["finished"] <= 6 * len(points), count
-    assert skipped_total > count["calls"], (skipped_total, count)
+    assert skipped_total > count["calls"] + count["batched"], (skipped_total, count)
+
+
+def test_certificate_search_work_is_pinned(cosh_map, cosh_pair, monkeypatch):
+    # distance passes (segment_point_distances calls) of 20 cosh
+    # certificates: a count, so a change in the search's work shows on any
+    # host.  Certifying each path alone, in candidate order, took 459.
+    base, lift = cosh_pair
+    supply = np.asarray(boundary_set(cosh_map, lift, base, 800.0), dtype=complex)
+    passes = 0
+
+    def counted(*args):
+        nonlocal passes
+        passes += 1
+        return segment_point_distances(*args)
+
+    monkeypatch.setattr(certify, "segment_point_distances", counted)
+    for j, theta in enumerate(sample_angles(20)):
+        z = 2.0 * 50.0 ** (j / 19) * complex(math.cos(theta), math.sin(theta))
+        expansion_certificate(cosh_pair, z, supply)
+    assert passes == 188
 
 
 def test_scan_empty_boundary_yields_warning_rows(cosh_map, cosh_pair):

@@ -12,7 +12,10 @@ The circle radius of homotopy representatives and the Spearman tie ranks
 were rewritten as closed forms, which must agree bit for bit with the loops
 they replaced wherever those loops finish.  The length floor that lets
 expansion certificates skip candidate paths is a bound instead: it must
-never exceed the reference length.
+never exceed the reference length.  Candidate paths bounded together must
+each get the float that ``certified_curve_length`` gives the path alone, and
+the nearest candidates, picked without ordering every boundary point, must
+be the start of the point order.
 """
 
 import cmath
@@ -29,9 +32,13 @@ from hyporb.certify import (
     _RADIUS_FACTORS,
     _blocked,
     _cone_density_min,
+    _curve_lengths,
     _length_floors,
     _local_isolation,
     _modulus_slice,
+    _nearest,
+    _path_segments,
+    _segments,
     certified_curve_length,
     spearman_rank_correlation,
 )
@@ -682,6 +689,65 @@ def test_cutoff_inside_a_lookahead_returns_inf_or_the_same_length(d):
         assert got == (math.inf if want >= cutoff else want), (want, cutoff, got)
 
 
+# Several paths bounded together: each must get the float it gets alone.
+def _alone(orb, path, refinement, margin, cutoff, max_rounds):
+    """``certified_curve_length`` of the path alone; None when it rejects the path."""
+    try:
+        return certified_curve_length(orb, PolylineCurve(path), refinement=refinement,
+                                      mark_margin=margin, max_rounds=max_rounds, cutoff=cutoff)
+    except DomainError:
+        return None
+
+
+@pytest.mark.parametrize("surface", sorted(_SURFACES))
+def test_paths_bounded_together_match_each_alone(surface):
+    rng = np.random.default_rng(41)
+    finished = cut = rejected = 0
+    for _ in range(10):
+        orb = _random_orbifold(rng, _SURFACES[surface])
+        p = orb.marks[0][0]
+        pool = [_random_polyline(rng, orb).vertices for _ in range(6)]
+        pool += [[p - 0.01, p + 0.01], [0.1 + 0.2j, 0.1 + 0.2j]]  # through a mark, length 0
+        pool += [curve.vertices for curve in _LEAVING[surface]]
+        for _ in range(4):
+            paths = [pool[i] for i in rng.choice(len(pool), int(rng.integers(1, 7)), replace=False)]
+            refinements = [float(rng.choice([0.2, 0.05, 0.01])) for _ in paths]
+            margin = float(rng.choice([1e-9, 0.05]))
+            max_rounds = int(rng.choice([3, 6, 60]))
+            cutoffs = []
+            for path, refinement in zip(paths, refinements):
+                full = _alone(orb, path, refinement, margin, math.inf, max_rounds)
+                if full is None or full == 0.0:
+                    cutoffs.append(float(rng.choice([0.0, 1e-6, math.inf])))
+                else:
+                    j = int(rng.integers(5))
+                    cutoffs.append([full, math.nextafter(full, math.inf), full / 2, 2 * full,
+                                    math.inf][j])
+            got = _curve_lengths(orb, paths, refinements, margin, cutoffs, max_rounds)
+            for path, refinement, cutoff, length in zip(paths, refinements, cutoffs, got):
+                want = _alone(orb, path, refinement, margin, cutoff, max_rounds)
+                assert length == want, (path, refinement, cutoff, length, want)
+                finished += want is not None and math.isfinite(want)
+                cut += want == math.inf
+                rejected += want is None
+    assert finished >= 30 and cut >= 15 and rejected >= 15, (finished, cut, rejected)
+
+
+def test_paths_bounded_together_match_each_alone_in_a_lookahead(monkeypatch):
+    # representatives around one cone point: few pieces, so piece_bounds
+    # calls bound several levels, here of several paths at once
+    orb, _ = _representative(3, 0)
+    paths = [_representative(3, n)[1].vertices for n in (0, 5, 10)]
+    alone = [_alone(orb, path, 1.0, 0.0, math.inf, 60) for path in paths]
+    calls = _recorded_lookahead(monkeypatch)
+    for cutoffs in ([math.inf] * 3, alone, [math.nextafter(x, math.inf) for x in alone],
+                    [x * 0.7 for x in alone]):
+        calls.clear()
+        got = _curve_lengths(orb, paths, [1.0] * 3, 0.0, cutoffs)
+        assert max(levels for levels, _ in calls) > 1
+        assert got == [_alone(orb, path, 1.0, 0.0, c, 60) for path, c in zip(paths, cutoffs)]
+
+
 # ---------------------------------------------------------------------------
 # Length floors of candidate paths
 # ---------------------------------------------------------------------------
@@ -746,6 +812,27 @@ def test_length_floor_is_zero_exactly_for_rejected_paths(surface):
                 else:
                     assert floor > 0.0
     assert rejected >= 16
+
+
+@pytest.mark.parametrize("surface", sorted(_SURFACES))
+def test_path_segments_match_a_loop_over_paths(surface):
+    rng = np.random.default_rng(12)
+    for _ in range(8):
+        orb = _random_orbifold(rng, _SURFACES[surface])
+        p = orb.marks[0][0]
+        paths = [_random_polyline(rng, orb).vertices for _ in range(5)]
+        paths += [[p - 0.01, p + 0.01], [0.5j, 0.5j, 1.0 + 0.5j, 1.0 + 0.5j]]
+        paths += [curve.vertices for curve in _LEAVING[surface]]
+        a, b, ids, rejected = _path_segments(orb, paths, 1e-9)
+        want_a, want_b, want_ids, want_rejected = [], [], [], []
+        for i, path in enumerate(paths):
+            a_i, b_i = _segments(np.asarray(path, dtype=complex))
+            want_a += a_i.tolist()
+            want_b += b_i.tolist()
+            want_ids += [i] * a_i.size
+            want_rejected.append(bool(_blocked(orb, a_i, b_i, 1e-9).any()))
+        assert _bits(a.tolist()) == _bits(want_a) and _bits(b.tolist()) == _bits(want_b)
+        assert ids.tolist() == want_ids and rejected.tolist() == want_rejected
 
 
 def test_length_floor_of_mark_free_or_zero_length_paths_is_zero():
@@ -920,6 +1007,21 @@ def test_nearest_first_orders_near_ties_like_sorted():
     pts = [z + 3.0 * complex(math.cos(t), math.sin(t)) for t in np.linspace(0.0, 6.0, 400)]
     got = [int(i) for i in nearest_first(np.asarray(pts, dtype=complex), z)]
     assert got == nearest_first_reference(pts, z)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.builds(complex, _COORD, _COORD), max_size=30),
+    st.builds(complex, _COORD, _COORD),
+    st.lists(st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False),
+             max_size=10),
+    st.integers(1, 16),
+)
+def test_nearest_k_is_the_start_of_nearest_first(lattice, z, scattered, k):
+    # lattice points tie in distance, also at the k-th one, and as duplicates
+    pts = np.asarray(lattice + scattered + lattice[:5], dtype=complex)
+    dist = np.hypot(pts.real - z.real, pts.imag - z.imag)
+    assert _nearest(pts, dist, z, k).tolist() == nearest_first(pts, z)[:k].tolist()
 
 
 @settings(max_examples=300, deadline=None)
