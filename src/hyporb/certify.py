@@ -49,6 +49,8 @@ _FLOOR_SLACK = 1e-9
 # grow with the paths: all of a certificate's paths at once took about 17%
 # more peak memory on an `expansion --map cosh` run than 4 at a time.
 _BATCH_PATHS = 4
+# (starts, ends, path ids) of segments and per path whether it is rejected: see _path_segments.
+_Segments = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -149,23 +151,24 @@ def certified_curve_length(
 
 def _curve_lengths(
     orb: MarkedOrbifold,
-    paths: list[list[complex]],
+    segments: _Segments,
+    chunk: list[int],
     refinements: list[float],
-    mark_margin: float,
     cutoffs: list[float],
     max_rounds: int = 60,
 ) -> list[float | None]:
-    """``certified_curve_length`` of each path with its refinement and cutoff, all bounded together.
+    """``certified_curve_length`` of the table's paths ``chunk``, with ``refinements`` and ``cutoffs``.
 
-    ``None`` stands for a path that ``certified_curve_length`` rejects; every
-    other entry is the float that call returns.
+    ``None`` stands for a path that the table rejects; every other entry is
+    the float that call returns.  A mask keeps each path's segments in order.
     """
-    refinements = np.asarray(refinements)
-    a, b, ids, rejected = _path_segments(orb, paths, mark_margin)
-    rejected |= refinements <= 0
-    keep = ~rejected[ids]
-    lengths = _bounded_lengths(orb, a[keep], b[keep], ids[keep], refinements, cutoffs, max_rounds)
-    return [None if r else length for r, length in zip(rejected.tolist(), lengths)]
+    a, b, ids, rejected = segments
+    local = np.full(rejected.size, -1)  # each path's place in the chunk
+    local[chunk] = np.arange(len(chunk))
+    keep = (local[ids] >= 0) & ~rejected[ids]
+    lengths = _bounded_lengths(orb, a[keep], b[keep], local[ids[keep]], np.array(refinements),
+                               cutoffs, max_rounds)
+    return [None if r else length for r, length in zip(rejected[chunk].tolist(), lengths)]
 
 
 def _bounded_lengths(
@@ -377,6 +380,8 @@ def expansion_certificate(
     if len(boundary) == 0:
         raise PathBlocked("empty boundary set")
     z = complex(z)
+    if refinement <= 0:
+        raise DomainError("refinement must be positive")
     if lift.ramification(z) > 1 or base.ramification(z) > 1:
         raise DomainError(f"{z!r} is marked")
     if not base.contains(z):
@@ -405,7 +410,8 @@ def expansion_certificate(
 
     margin = _MARGIN_REL * _local_isolation(base, z)
     paths = [path_pts for b in candidates for path_pts in _candidate_paths(z, b)]
-    floors = _length_floors(base, paths, margin)
+    segments = _path_segments(base, paths, margin)
+    floors = _length_floors(base, segments)
 
     def refine(i: int) -> float:
         return max(refinement, _path_len(paths[i]) / 256.0)
@@ -429,9 +435,7 @@ def expansion_certificate(
     while rest := [i for i in rest if floors[i] <= best[0] * (1.0 + _FLOOR_SLACK)]:
         chunk, rest = rest[:_BATCH_PATHS], rest[_BATCH_PATHS:]
         cutoffs = [math.nextafter(best[0], math.inf) if i < best[1] else best[0] for i in chunk]
-        lengths = _curve_lengths(
-            base, [paths[i] for i in chunk], [refine(i) for i in chunk], margin, cutoffs
-        )
+        lengths = _curve_lengths(base, segments, chunk, [refine(i) for i in chunk], cutoffs)
         for i, length in zip(chunk, lengths):
             if length is not None and (length, i) < best:
                 best = (length, i)
@@ -479,9 +483,7 @@ def _segments(verts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return verts[:-1][keep], verts[1:][keep]
 
 
-def _path_segments(
-    orb: MarkedOrbifold, paths: list[list[complex]], mark_margin: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _path_segments(orb: MarkedOrbifold, paths: list[list[complex]], mark_margin: float) -> _Segments:
     """(starts, ends, path ids) of every path's segments of nonzero length, path after path,
     and per path whether ``_blocked`` rejects one of its segments.
     """
@@ -513,8 +515,8 @@ def _cone_density_min(k: float, eps: np.ndarray) -> np.ndarray:
     return (2.0 - 2e-13) / (k * eps * s ** ((k - 1.0) / 2.0) * (1.0 - s))
 
 
-def _length_floors(orb: MarkedOrbifold, paths: list[list[complex]], mark_margin: float) -> list[float]:
-    """A lower bound on ``certified_curve_length`` of each path, whatever its other arguments.
+def _length_floors(orb: MarkedOrbifold, segments: _Segments) -> list[float]:
+    """A lower bound on ``certified_curve_length`` of each path of a ``_path_segments`` table.
 
     Each segment is bisected ``_FLOOR_DEPTH`` times as ``certified_curve_length``
     bisects it, so each of its final pieces lies inside a floor piece or is a
@@ -524,11 +526,11 @@ def _length_floors(orb: MarkedOrbifold, paths: list[list[complex]], mark_margin:
     whose isolation disc the piece may meet, by ``max(|a-m|, |b-m|) - |b-a|``
     below the disc's radius (a cone witness needs the final piece inside that
     disc).  Leaving out the surface boundary only lowers the floor; a
-    mark-free orbifold gets 0.  So does a path that ``certified_curve_length``
-    rejects up front, one with a segment within ``mark_margin`` of a mark or
-    of the boundary: it is never skipped, and its rejection is seen.
+    mark-free orbifold gets 0.  So does a path that the table rejects, as
+    ``certified_curve_length`` does with the table's margin: it is never
+    skipped, and its rejection is seen.
     """
-    a, b, ids, rejected = _path_segments(orb, paths, mark_margin)
+    a, b, ids, rejected = segments
     marks = orb.mark_array
     for _ in range(_FLOOR_DEPTH):
         mid = 0.5 * (a + b)
@@ -544,7 +546,7 @@ def _length_floors(orb: MarkedOrbifold, paths: list[list[complex]], mark_margin:
     for k, cols, eps, _ in orb.cone_groups:
         cone = np.where(dlow[cols] < eps[:, None], _cone_density_min(k, eps)[:, None], np.inf)
         density = np.minimum(density, cone.min(axis=0))
-    floors = np.bincount(ids, weights=lens * density, minlength=len(paths))
+    floors = np.bincount(ids, weights=lens * density, minlength=rejected.size)
     floors[rejected] = 0.0
     return floors.tolist()
 

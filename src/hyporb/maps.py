@@ -39,7 +39,8 @@ class EntireMapSpec:
     have no other singular values) with one critical point mapping onto it,
     and ``preimages(value, r_max)`` enumerates the full preimage set of a
     value in the disc |z| <= r_max + 1e-9, using the closed-form inverse
-    branches plus the 2*pi*i period lattice.
+    branches plus the 2*pi*i period lattice.  ``preimages(value, r_max, near)``
+    may return fewer points, as long as the ones nearest ``near`` are among them.
     """
 
     name: str
@@ -47,7 +48,7 @@ class EntireMapSpec:
     deriv: Callable[[complex], complex]
     deriv2: Callable[[complex], complex]
     critical_value_witnesses: tuple[tuple[complex, complex], ...]
-    preimages: Callable[[complex, float], list[complex]]
+    preimages: Callable[..., list[complex]]
 
 
 def _k_range(imag_center: float, span: float) -> range:
@@ -129,16 +130,32 @@ def _pi_sinh_bases(target: complex) -> tuple[complex, complex]:
     return w0, 1j * math.pi - w0
 
 
-def _lattice_preimages(bases: tuple[complex, ...], r_max: float) -> list[complex]:
+def _lattice_preimages(
+    bases: tuple[complex, ...], r_max: float, near: complex | None = None
+) -> list[complex]:
     """Points base + 2*pi*i*k with |z| <= r_max + 1e-9, sorted by (|z|, re, im).
 
+    With ``near``, only the points of each base whose k lies within 1 of the
+    one nearest ``near`` in imaginary part, clipped to the k of the disc's
+    points: every point of the disc nearest ``near`` is among them, and the
+    work does not grow with ``r_max``.
     The same-point rule of ``PointSet``, in array form: a point within
     ``SAME_POINT_TOL`` of a kept point of an earlier base is dropped.
     """
     res: list[np.ndarray] = []
     ims: list[np.ndarray] = []
     for base in bases:
-        k_range = _k_range(base.imag, r_max)
+        x = abs(base.real)
+        if near is None:
+            k_range = _k_range(base.imag, r_max)
+        elif not x <= r_max:  # no point of this base lies in the disc
+            k_range = range(0)
+        else:
+            # the k of the disc's points of this base, up to rounding
+            h = math.sqrt(r_max - x) * math.sqrt(r_max + x)
+            lo, hi = math.ceil((-h - base.imag) / _TWO_PI), math.floor((h - base.imag) / _TWO_PI)
+            k_near = min(max(round((near.imag - base.imag) / _TWO_PI), lo), hi)
+            k_range = range(k_near - 1, k_near + 2)
         k = np.arange(k_range.start, k_range.stop, dtype=float)
         # the parts of the complex sum base + 2*pi*i*k, bit for bit with signed
         # zeros: 0.0 * k turns a real part -0.0 into +0.0 for k >= 0
@@ -168,7 +185,7 @@ def _make_cosh() -> EntireMapSpec:
         deriv=cmath.sinh,
         deriv2=cmath.cosh,
         critical_value_witnesses=((-1.0 + 0j, 1j * math.pi), (1.0 + 0j, 0j)),
-        preimages=lambda v, r_max: _lattice_preimages(_cosh_bases(v), r_max),
+        preimages=lambda v, r_max, near=None: _lattice_preimages(_cosh_bases(v), r_max, near),
     )
 
 
@@ -180,7 +197,7 @@ def _make_pi_sinh() -> EntireMapSpec:
         deriv=lambda z: pi * cmath.cosh(z),
         deriv2=lambda z: pi * cmath.sinh(z),
         critical_value_witnesses=((-1j * pi, -1j * pi / 2), (1j * pi, 1j * pi / 2)),
-        preimages=lambda v, r_max: _lattice_preimages(_pi_sinh_bases(v), r_max),
+        preimages=lambda v, r_max, near=None: _lattice_preimages(_pi_sinh_bases(v), r_max, near),
     )
 
 
@@ -191,7 +208,7 @@ def _make_cosh_minus_one() -> EntireMapSpec:
         deriv=cmath.sinh,
         deriv2=cmath.cosh,
         critical_value_witnesses=((-2.0 + 0j, 1j * math.pi), (0j, 0j)),
-        preimages=lambda v, r_max: _lattice_preimages(_cosh_bases(v + 1.0), r_max),
+        preimages=lambda v, r_max, near=None: _lattice_preimages(_cosh_bases(v + 1.0), r_max, near),
     )
 
 
@@ -422,8 +439,9 @@ def nearest_preimage(map_spec: EntireMapSpec, a: complex) -> complex:
     """The preimage of ``a`` within |z| <= |a| + 12 nearest to ``a``, ties broken by (re, im).
 
     This seeds the inverse branch of a pullback; raises NotFound when there is none.
+    Only the preimages that ``preimages(a, r_max, near=a)`` returns are compared.
     """
-    pres = map_spec.preimages(a, abs(a) + 12.0)
+    pres = map_spec.preimages(a, abs(a) + 12.0, near=a)
     if not pres:
         raise NotFound(f"no preimage of {a!r} within |z| <= |a| + 12")
     return pres[nearest_first(pres, a)[0]]

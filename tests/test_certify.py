@@ -13,11 +13,13 @@ from hyporb.certify import (
     _FLOOR_SLACK,
     _MAX_CANDIDATES,
     CleanDisc,
+    _blocked,
     _candidate_paths,
     _curve_lengths,
     _length_floors,
     _local_isolation,
     _path_len,
+    _path_segments,
     annulus_uniformity_scan,
     certified_curve_length,
     expansion_certificate,
@@ -154,6 +156,21 @@ def test_expansion_certificates_on_cosh(cosh_map, cosh_pair):
         assert cert.path.vertices[0] == z
 
 
+def test_expansion_certificate_rejects_nonpositive_refinement(cosh_map, cosh_pair):
+    # each path's refinement is max(refinement, length / 256), which would
+    # hide a negative one; the exact-distance case gets the same check
+    base, lift = cosh_pair
+    supply = boundary_set(cosh_map, lift, base, 60.0)
+    disc = MarkedOrbifold(Surface(outer=(0j, 1.0)), ())
+    disc_pair = (disc, MarkedOrbifold(Surface(outer=(0j, 1.0)), ((0j, 2),)))
+    for refinement in (-1.0, 0.0):
+        with pytest.raises(DomainError, match="refinement must be positive"):
+            expansion_certificate(cosh_pair, 3.0 + 1.0j, supply, refinement=refinement)
+        with pytest.raises(DomainError, match="refinement must be positive"):
+            expansion_certificate(disc_pair, 0.5 + 0j, [0j], refinement=refinement)
+    assert math.isfinite(expansion_certificate(cosh_pair, 3.0 + 1.0j, supply, 1e-3).R_bar)
+
+
 def _exhaustive_search(base, z, supply):
     """``((R_bar, path) or None, [(path, length or None)])``: every candidate path certified in full."""
     arr = np.asarray(supply, dtype=complex)
@@ -197,9 +214,20 @@ def test_certificate_search_matches_exhaustive_search(name, request, monkeypatch
     # is not rejected each is certified alone; the others are bounded in
     # chunks of _BATCH_PATHS, and a path whose floor exceeds the best length
     # so far is skipped.  Every loser stops at its cutoff and returns inf, so
-    # few paths finish.
-    count = {"calls": 0, "batched": 0, "finished": 0}
+    # few paths finish.  One segment table per certificate serves the floors
+    # and every batch, so _blocked runs once for it and once per call.
+    count = {"calls": 0, "batched": 0, "finished": 0, "tables": 0, "blocked": 0}
     measured = []
+    paths = []  # the candidate paths of the current certificate
+
+    def table(orb, paths_, margin):
+        assert [list(path) for path in paths_] == paths
+        count["tables"] += 1
+        return _path_segments(orb, paths_, margin)
+
+    def blocked(*args):
+        count["blocked"] += 1
+        return _blocked(*args)
 
     def counted(orb, curve, *args, **kwargs):
         count["calls"] += 1
@@ -208,23 +236,29 @@ def test_certificate_search_matches_exhaustive_search(name, request, monkeypatch
         count["finished"] += math.isfinite(length)
         return length
 
-    def batched(orb, paths, *args, **kwargs):
-        assert 1 <= len(paths) <= _BATCH_PATHS
-        count["batched"] += len(paths)
-        measured.extend(paths)
-        lengths = _curve_lengths(orb, paths, *args, **kwargs)
+    def batched(orb, segments, chunk, *args, **kwargs):
+        assert 1 <= len(chunk) <= _BATCH_PATHS
+        count["batched"] += len(chunk)
+        measured.extend(paths[i] for i in chunk)
+        lengths = _curve_lengths(orb, segments, chunk, *args, **kwargs)
         count["finished"] += sum(x is not None and math.isfinite(x) for x in lengths)
         return lengths
 
     monkeypatch.setattr(certify, "certified_curve_length", counted)
     monkeypatch.setattr(certify, "_curve_lengths", batched)
+    monkeypatch.setattr(certify, "_path_segments", table)
+    monkeypatch.setattr(certify, "_blocked", blocked)
     skipped_total = 0
     for z, (best, tried) in zip(points, expected):
         measured.clear()
+        paths[:] = [path for path, _ in tried]
+        before = dict(count)
         cert = expansion_certificate(pair, z, supply)
+        assert count["tables"] == before["tables"] + 1
+        assert count["blocked"] == before["blocked"] + 1 + count["calls"] - before["calls"]
         assert best is not None
         assert (cert.R_bar, cert.path.vertices) == (best[0], best[1])
-        floors = _length_floors(base, [path for path, _ in tried], 1e-3 * _local_isolation(base, z))
+        floors = _length_floors(base, _path_segments(base, paths, 1e-3 * _local_isolation(base, z)))
         for (_, length), floor in zip(tried, floors):
             # the floor is sound on real certificates: never above the length
             assert length is None or floor <= length
@@ -253,12 +287,12 @@ def test_certificate_search_matches_exhaustive_search(name, request, monkeypatch
     assert skipped_total > count["calls"] + count["batched"], (skipped_total, count)
 
 
-def test_certificate_search_work_is_pinned(cosh_map, cosh_pair, monkeypatch):
-    # distance passes (segment_point_distances calls) of 20 cosh
-    # certificates: a count, so a change in the search's work shows on any
-    # host.  Certifying each path alone, in candidate order, took 459.
-    base, lift = cosh_pair
-    supply = np.asarray(boundary_set(cosh_map, lift, base, 800.0), dtype=complex)
+def test_certificate_search_work_is_pinned(request, monkeypatch):
+    # distance passes (segment_point_distances calls) of 20 certificates per
+    # map: a count, so a change in the search's work shows on any host.
+    # Certifying each cosh path alone, in candidate order, took 459; testing
+    # the rejections again in each batch took 188 (cosh) and 265
+    # (cosh_minus_one, whose base has a removed disc).
     passes = 0
 
     def counted(*args):
@@ -267,10 +301,18 @@ def test_certificate_search_work_is_pinned(cosh_map, cosh_pair, monkeypatch):
         return segment_point_distances(*args)
 
     monkeypatch.setattr(certify, "segment_point_distances", counted)
-    for j, theta in enumerate(sample_angles(20)):
-        z = 2.0 * 50.0 ** (j / 19) * complex(math.cos(theta), math.sin(theta))
-        expansion_certificate(cosh_pair, z, supply)
-    assert passes == 188
+    got = {}
+    for name in ("cosh", "cosh_minus_one"):
+        spec = request.getfixturevalue(f"{name}_map")
+        pair = request.getfixturevalue(f"{name}_pair")
+        base, lift = pair
+        supply = np.asarray(boundary_set(spec, lift, base, 800.0), dtype=complex)
+        passes = 0
+        for j, theta in enumerate(sample_angles(20)):
+            z = 2.0 * 50.0 ** (j / 19) * complex(math.cos(theta), math.sin(theta))
+            expansion_certificate(pair, z, supply)
+        got[name] = passes
+    assert got == {"cosh": 155, "cosh_minus_one": 213}
 
 
 def test_scan_empty_boundary_yields_warning_rows(cosh_map, cosh_pair):

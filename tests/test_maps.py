@@ -216,7 +216,7 @@ def test_nearest_preimage(pi_sinh_map):
     assert all(abs(z - a) <= abs(p - a) for p in pi_sinh_map.preimages(a, abs(a) + 12.0))
     stub = EntireMapSpec(
         name="none", eval=lambda z: z, deriv=lambda z: 1 + 0j, deriv2=lambda z: 0j,
-        critical_value_witnesses=(), preimages=lambda v, r_max: [],
+        critical_value_witnesses=(), preimages=lambda v, r_max, near=None: [],
     )
     with pytest.raises(NotFound):
         nearest_preimage(stub, 1.0 + 0j)

@@ -6,7 +6,9 @@ length, the point order (``maps.nearest_first``) and the bound chain were
 rewritten for speed without changing any arithmetic, so each must agree with
 its reference exactly, bit for bit.  So must the sites that now share one
 rule: the branch seed of a pullback and the repelling fixed point, which
-once had a sort key and a same-point tolerance of their own.  The annulus
+once had a sort key and a same-point tolerance of their own.  The branch
+seed now compares a few lattice points per branch in place of every
+preimage in its window, and must pick the point the full enumeration picks.  The annulus
 count is exact: it must agree with the quadratic loop over closed annuli.
 The circle radius of homotopy representatives and the Spearman tie ranks
 were rewritten as closed forms, which must agree bit for bit with the loops
@@ -40,10 +42,12 @@ from hyporb.certify import (
     _path_segments,
     _segments,
     certified_curve_length,
+    pullback_shrinking_experiment,
     spearman_rank_correlation,
 )
+from hyporb.cli import RunConfig
 from hyporb.curves import PolylineCurve, polyline_point_distance, segment_point_distances
-from hyporb.errors import DomainError
+from hyporb.errors import DomainError, NotFound
 from hyporb.homotopy import build_representative, choose_epsilon_n, epsilon_prime
 from hyporb.maps import (
     _TWO_PI,
@@ -51,7 +55,9 @@ from hyporb.maps import (
     PointSet,
     _cosh_bases,
     _k_range,
+    _lattice_preimages,
     _pi_sinh_bases,
+    evaluate,
     get_map,
     local_degree,
     nearest_first,
@@ -67,6 +73,7 @@ from hyporb.orbifolds import (
     _newton_fixed_point,
     annulus_count,
     boundary_set,
+    build_associated_orbifold,
     find_repelling_cycle,
 )
 
@@ -710,7 +717,9 @@ def test_paths_bounded_together_match_each_alone(surface):
         pool += [[p - 0.01, p + 0.01], [0.1 + 0.2j, 0.1 + 0.2j]]  # through a mark, length 0
         pool += [curve.vertices for curve in _LEAVING[surface]]
         for _ in range(4):
-            paths = [pool[i] for i in rng.choice(len(pool), int(rng.integers(1, 7)), replace=False)]
+            # a chunk of the pool's table, in an order of its own
+            chunk = rng.choice(len(pool), int(rng.integers(1, 7)), replace=False).tolist()
+            paths = [pool[i] for i in chunk]
             refinements = [float(rng.choice([0.2, 0.05, 0.01])) for _ in paths]
             margin = float(rng.choice([1e-9, 0.05]))
             max_rounds = int(rng.choice([3, 6, 60]))
@@ -723,7 +732,8 @@ def test_paths_bounded_together_match_each_alone(surface):
                     j = int(rng.integers(5))
                     cutoffs.append([full, math.nextafter(full, math.inf), full / 2, 2 * full,
                                     math.inf][j])
-            got = _curve_lengths(orb, paths, refinements, margin, cutoffs, max_rounds)
+            table = _path_segments(orb, pool, margin)
+            got = _curve_lengths(orb, table, chunk, refinements, cutoffs, max_rounds)
             for path, refinement, cutoff, length in zip(paths, refinements, cutoffs, got):
                 want = _alone(orb, path, refinement, margin, cutoff, max_rounds)
                 assert length == want, (path, refinement, cutoff, length, want)
@@ -737,20 +747,27 @@ def test_paths_bounded_together_match_each_alone_in_a_lookahead(monkeypatch):
     # representatives around one cone point: few pieces, so piece_bounds
     # calls bound several levels, here of several paths at once
     orb, _ = _representative(3, 0)
-    paths = [_representative(3, n)[1].vertices for n in (0, 5, 10)]
-    alone = [_alone(orb, path, 1.0, 0.0, math.inf, 60) for path in paths]
+    pool = [_representative(3, n)[1].vertices for n in (0, 5, 10, 15)]
+    table = _path_segments(orb, pool, 0.0)
+    chunk = [2, 0, 3]
+    alone = [_alone(orb, pool[i], 1.0, 0.0, math.inf, 60) for i in chunk]
     calls = _recorded_lookahead(monkeypatch)
     for cutoffs in ([math.inf] * 3, alone, [math.nextafter(x, math.inf) for x in alone],
                     [x * 0.7 for x in alone]):
         calls.clear()
-        got = _curve_lengths(orb, paths, [1.0] * 3, 0.0, cutoffs)
+        got = _curve_lengths(orb, table, chunk, [1.0] * 3, cutoffs)
         assert max(levels for levels, _ in calls) > 1
-        assert got == [_alone(orb, path, 1.0, 0.0, c, 60) for path, c in zip(paths, cutoffs)]
+        assert got == [_alone(orb, pool[i], 1.0, 0.0, c, 60) for i, c in zip(chunk, cutoffs)]
 
 
 # ---------------------------------------------------------------------------
 # Length floors of candidate paths
 # ---------------------------------------------------------------------------
+
+
+def _floors(orb, paths, margin):
+    """``_length_floors`` of the paths, from their segment table with ``margin``."""
+    return _length_floors(orb, _path_segments(orb, paths, margin))
 
 
 def _straddling_curves(orb, rng):
@@ -775,9 +792,9 @@ def test_length_floor_is_below_certified_length(surface):
         orb = _random_orbifold(rng, _SURFACES[surface])
         curves = [_random_polyline(rng, orb) for _ in range(4)] + _straddling_curves(orb, rng)
         paths = [curve.vertices for curve in curves]
-        floors = _length_floors(orb, paths, 1e-9)
+        floors = _floors(orb, paths, 1e-9)
         # one call for all paths gives each path the floor it gets alone
-        assert floors == [_length_floors(orb, [path], 1e-9)[0] for path in paths]
+        assert floors == [_floors(orb, [path], 1e-9)[0] for path in paths]
         for curve, floor in zip(curves, floors):
             path_len = sum(abs(b - a) for a, b in zip(curve.vertices, curve.vertices[1:]))
             for kw in ({"refinement": 1e-3}, {"refinement": path_len / 256.0},
@@ -802,7 +819,7 @@ def test_length_floor_is_zero_exactly_for_rejected_paths(surface):
         curves = [_random_polyline(rng, orb) for _ in range(4)]
         curves += [PolylineCurve([p - 0.01, p + 0.01])] + _LEAVING[surface]
         for margin in (1e-9, 0.05):
-            floors = _length_floors(orb, [curve.vertices for curve in curves], margin)
+            floors = _floors(orb, [curve.vertices for curve in curves], margin)
             for curve, floor in zip(curves, floors):
                 try:
                     certified_curve_length(orb, curve, mark_margin=margin, max_rounds=1)
@@ -837,9 +854,9 @@ def test_path_segments_match_a_loop_over_paths(surface):
 
 def test_length_floor_of_mark_free_or_zero_length_paths_is_zero():
     disc = MarkedOrbifold(Surface(outer=(0j, 2.0)), ())
-    assert _length_floors(disc, [[0j, 1.0 + 0j], [0.5j, 0.5j]], 1e-9) == [0.0, 0.0]
+    assert _floors(disc, [[0j, 1.0 + 0j], [0.5j, 0.5j]], 1e-9) == [0.0, 0.0]
     orb = MarkedOrbifold(Surface(), ((0j, 2), (3.0 + 0j, 3)))
-    assert _length_floors(orb, [[1.0 + 1j, 1.0 + 1j], [1.0 + 1j, 2.0 + 1j]], 1e-9)[0] == 0.0
+    assert _floors(orb, [[1.0 + 1j, 1.0 + 1j], [1.0 + 1j, 2.0 + 1j]], 1e-9)[0] == 0.0
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 6])
@@ -1041,18 +1058,87 @@ def test_nearest_first_about_zero_matches_lexsort_by_modulus(lattice, scattered)
     assert nearest_first(circle, 0j).tolist() == want.tolist()
 
 
+def _pullback_seed_targets(name):
+    """The points whose nearest preimage seeds the default ``pullback`` run of the map."""
+    cfg = RunConfig(map=name)
+    spec = get_map(name)
+    pair = build_associated_orbifold(spec, cfg.depth, cfg.escape_radius)
+    a = complex(cfg.pullback_re_a, cfg.pullback_imag)
+    curve0 = PolylineCurve([a, complex(cfg.pullback_re_b, cfg.pullback_imag)])
+    targets = [a]  # the cli seeds cosh by -acosh(a), the other maps by nearest_preimage
+    seed = -cmath.acosh(a) if name == "cosh" else nearest_preimage(spec, a)
+
+    def recorded(map_spec, z):
+        targets.append(z)
+        return nearest_preimage(map_spec, z)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(certify, "nearest_preimage", recorded)
+        pullback_shrinking_experiment(spec, pair, curve0, seed, k_max=cfg.pullback_kmax,
+                                      refinement=cfg.refinement)
+    return targets
+
+
 @pytest.mark.parametrize("name", sorted(_MAP_BASES))
 def test_nearest_preimage_matches_min_by_sort_key(name):
+    # the reference lists every preimage in the window |z| <= |a| + 12
     spec = get_map(name)
     rng = np.random.default_rng(sorted(_MAP_BASES).index(name) + 7)
-    # the window |z| <= |a| + 12 holds about |a| / pi preimages, so leave out the escaping points
+    # the window holds about |a| / pi preimages, so leave out the escaping points
     values = [p.point for p in postsingular_truncation(spec, 8).points if abs(p.point) < 1e4]
     values += [complex(v) for v in rng.uniform(-40.0, 40.0, 60) + 1j * rng.uniform(-40.0, 40.0, 60)]
     values += [5.5 + 0.5j, 0.5j, 1e-300 + 0j]
+    targets = _pullback_seed_targets(name)
+    assert len(targets) == RunConfig().pullback_kmax
+    values += targets
+    # large imaginary or real parts
+    values += [complex(v) for v in rng.uniform(-50.0, 50.0, 30) + 1j * rng.uniform(-2e4, 2e4, 30)]
+    values += [complex(v) for v in rng.uniform(-1e3, 1e3, 20) + 1j * rng.uniform(-20.0, 20.0, 20)]
     for a in values:
         pres = spec.preimages(a, abs(a) + 12.0)
         want = min(pres, key=lambda p: (abs(p - a), p.real, p.imag))
         assert _bits([nearest_preimage(spec, a)]) == _bits([want]), a
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.lists(st.builds(complex, st.sampled_from([0.0, -0.0, 2.0, 45.0]) | st.floats(-60.0, 60.0),
+                       st.sampled_from([0.0, 1e-10]) | st.floats(-10.0, 10.0)),
+             min_size=1, max_size=3),
+    st.floats(0.5, 80.0),
+    st.floats(-100.0, 100.0),
+    st.integers(-20, 20),
+    st.sampled_from([0.0, 0.25, 0.5, 0.75]),
+)
+def test_lattice_points_near_a_point_hold_its_nearest(bases, r_max, near_re, k, frac):
+    # a point level with a lattice point of the first base, halfway between
+    # two of them, or beyond the disc's points of a base
+    near = complex(near_re, bases[0].imag + _TWO_PI * (k + frac))
+    full = _lattice_preimages(tuple(bases), r_max)
+    part = _lattice_preimages(tuple(bases), r_max, near)
+    assert bool(part) == bool(full)
+    # a point of a later base may stay whose same point of an earlier base
+    # was not tried, but the nearest point is the full set's, bit for bit
+    assert all(min(abs(z - w) for w in full) <= SAME_POINT_TOL for z in part)
+    if full:
+        nearest = [full[nearest_first(full, near)[0]]]
+        assert _bits([part[nearest_first(part, near)[0]]]) == _bits(nearest)
+
+
+@pytest.mark.parametrize("name", sorted(_MAP_BASES))
+def test_nearest_preimage_of_escaping_points(name):
+    # the window of cosh's escaping postsingular point (about 4.05e72) holds
+    # some 1e72 lattice points; the call returns a preimage or raises NotFound
+    spec = get_map(name)
+    escaping = [p.point for p in postsingular_truncation(spec, 8).points if abs(p.point) >= 1e4]
+    for a in escaping + [1e6 + 1j]:
+        try:
+            z = nearest_preimage(spec, a)
+        except NotFound:
+            continue
+        assert abs(z) <= abs(a) + 12.0
+        assert abs(evaluate(spec, z) - a) <= 1e-9 * abs(a), (a, z)
+    assert name != "cosh" or escaping
 
 
 @pytest.mark.parametrize("name", sorted(_MAP_BASES))
