@@ -339,6 +339,13 @@ class ExpansionCertificate:
         }
 
 
+def _certificate(
+    base: MarkedOrbifold, z: complex, path: list[complex], R_bar: float
+) -> ExpansionCertificate:
+    return ExpansionCertificate(z, PolylineCurve(path), R_bar, lambda_lower(R_bar),
+                                base.truncation_depth)
+
+
 def _exact_disc_distance(disc: tuple[complex, float], z: complex, w: complex) -> float:
     c, r = disc
     return hyp_distance_disc((z - c) / r, (w - c) / r)
@@ -391,14 +398,7 @@ def expansion_certificate(
     disc = base.surface.outer
     if disc is not None and not base.surface.holes and not base.marks:
         b = min(arr.tolist(), key=lambda p: _exact_disc_distance(disc, z, p))
-        R_bar = _exact_disc_distance(disc, z, b)
-        return ExpansionCertificate(
-            point=z,
-            path=PolylineCurve([z, b]),
-            R_bar=R_bar,
-            lambda_bar=lambda_lower(R_bar),
-            truncation_depth=base.truncation_depth,
-        )
+        return _certificate(base, z, [z, b], _exact_disc_distance(disc, z, b))
 
     # hypot, as nearest_first measures
     dist = np.hypot(arr.real - z.real, arr.imag - z.imag)
@@ -439,14 +439,7 @@ def expansion_certificate(
         for i, length in zip(chunk, lengths):
             if length is not None and (length, i) < best:
                 best = (length, i)
-    R_bar, i = best
-    return ExpansionCertificate(
-        point=z,
-        path=PolylineCurve(paths[i]),
-        R_bar=R_bar,
-        lambda_bar=lambda_lower(R_bar),
-        truncation_depth=base.truncation_depth,
-    )
+    return _certificate(base, z, paths[best[1]], best[0])
 
 
 def _nearest(arr: np.ndarray, dist: np.ndarray, z: complex, k: int) -> np.ndarray:
@@ -503,16 +496,19 @@ def _blocked(orb: MarkedOrbifold, a: np.ndarray, b: np.ndarray, mark_margin: flo
     return (clear < mark_margin) | (clear <= 0)
 
 
-def _cone_density_min(k: float, eps: np.ndarray) -> np.ndarray:
-    """Minimum over 0 < d < eps of the one-cone density of order ``k`` and radius ``eps``.
+def _cone_density_floor(k: float, eps: np.ndarray, eps_root: np.ndarray, lo: np.ndarray,
+                        hi: np.ndarray) -> np.ndarray:
+    """Minimum over [lo, hi] of the one-cone density (order k, radius eps); inf where lo >= eps.
 
-    With s = (d/eps)^(2/k) the density is 2 / (k eps s^((k-1)/2) (1 - s)),
-    smallest at s = (k-1)/(k+1).  The value is lowered by 1e-13 relative, far
-    more than ``cone_density_formula`` rounds by near that minimum, so no
-    evaluation of it falls below.
+    With s = (d/eps)^(2/k) it is 2 / (k eps s^((k-1)/2) (1 - s)), which falls,
+    then rises, least at s = (k-1)/(k+1): the minimum is at the point of
+    [lo, hi] nearest there, below eps as lo is.  It is lowered by 1e-13
+    relative, more than the formula rounds by while 1 - s > 1/(k+1), which
+    holds where it is below 2/d >= 2/hi, the clean-disc term it is set against.
     """
-    s = (k - 1.0) / (k + 1.0)
-    return (2.0 - 2e-13) / (k * eps * s ** ((k - 1.0) / 2.0) * (1.0 - s))
+    d = np.minimum(np.maximum(eps * ((k - 1.0) / (k + 1.0)) ** (k / 2.0), lo), hi)
+    with np.errstate(divide="ignore"):  # at d >= eps the formula is no bound
+        return np.where(lo < eps, (1.0 - 1e-13) * cone_density_formula(k, eps, eps_root, d), np.inf)
 
 
 def _length_floors(orb: MarkedOrbifold, segments: _Segments) -> list[float]:
@@ -520,13 +516,17 @@ def _length_floors(orb: MarkedOrbifold, segments: _Segments) -> list[float]:
 
     Each segment is bisected ``_FLOOR_DEPTH`` times as ``certified_curve_length``
     bisects it, so each of its final pieces lies inside a floor piece or is a
-    union of them.  On a floor piece [a, b] every such final piece has
-    density bound at least the smaller of ``2 / min_m max(|a-m|, |b-m|)`` (its
-    clean disc is never larger) and the cone density minimum of every mark
-    whose isolation disc the piece may meet, by ``max(|a-m|, |b-m|) - |b-a|``
-    below the disc's radius (a cone witness needs the final piece inside that
-    disc).  Leaving out the surface boundary only lowers the floor; a
-    mark-free orbifold gets 0.  So does a path that the table rejects, as
+    union of them.  A floor piece [a, b] lies at distances [lo, hi] from a
+    mark m, hi = max(|a-m|, |b-m|), lo = hi - |b-a|.  Every such final piece
+    has density bound at least the smaller of ``2 / min_m hi`` (its clean
+    disc is never larger) and the cone density minimum over [lo, hi] of every
+    mark whose isolation disc it may meet, by lo below the disc's radius (a
+    cone witness needs the final piece inside that disc): one inside the
+    floor piece takes its cone bound at distances in [lo, hi], one that is a
+    union of floor pieces max(rho(dmin'), rho(dmax')), which, as the density
+    falls, then rises, is at least the density at every distance it spans.
+    Leaving out the surface boundary only lowers the floor; a mark-free
+    orbifold gets 0.  So does a path that the table rejects, as
     ``certified_curve_length`` does with the table's margin: it is never
     skipped, and its rejection is seen.
     """
@@ -543,8 +543,8 @@ def _length_floors(orb: MarkedOrbifold, segments: _Segments) -> list[float]:
     density = 2.0 / dmax.min(axis=0, initial=np.inf)
     lens = np.hypot((b - a).real, (b - a).imag)
     dlow = dmax - lens
-    for k, cols, eps, _ in orb.cone_groups:
-        cone = np.where(dlow[cols] < eps[:, None], _cone_density_min(k, eps)[:, None], np.inf)
+    for k, cols, eps, eps_root in orb.cone_groups:
+        cone = _cone_density_floor(k, eps[:, None], eps_root[:, None], dlow[cols], dmax[cols])
         density = np.minimum(density, cone.min(axis=0))
     floors = np.bincount(ids, weights=lens * density, minlength=rejected.size)
     floors[rejected] = 0.0

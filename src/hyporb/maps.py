@@ -112,9 +112,9 @@ def nearest_first(points: Iterable[complex], c: complex) -> np.ndarray:
 
 def _safe_acosh(w: complex) -> complex:
     # cmath.acosh squares its argument internally; fall back to log(2w) for
-    # very large |w| where w**2 would overflow.
+    # very large |w| where w**2 would overflow, as log(w) + log 2 where 2w would.
     if abs(w) > 1e150:
-        return cmath.log(2.0 * w)
+        return cmath.log(2.0 * w) if cmath.isfinite(2.0 * w) else cmath.log(w) + math.log(2.0)
     return cmath.acosh(w)
 
 

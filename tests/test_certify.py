@@ -292,7 +292,8 @@ def test_certificate_search_work_is_pinned(request, monkeypatch):
     # map: a count, so a change in the search's work shows on any host.
     # Certifying each cosh path alone, in candidate order, took 459; testing
     # the rejections again in each batch took 188 (cosh) and 265
-    # (cosh_minus_one, whose base has a removed disc).
+    # (cosh_minus_one, whose base has a removed disc); cone floors over the
+    # whole isolation disc, not the piece's distances, took 155 and 213.
     passes = 0
 
     def counted(*args):
@@ -312,7 +313,7 @@ def test_certificate_search_work_is_pinned(request, monkeypatch):
             z = 2.0 * 50.0 ** (j / 19) * complex(math.cos(theta), math.sin(theta))
             expansion_certificate(pair, z, supply)
         got[name] = passes
-    assert got == {"cosh": 155, "cosh_minus_one": 213}
+    assert got == {"cosh": 91, "cosh_minus_one": 124}
 
 
 def test_scan_empty_boundary_yields_warning_rows(cosh_map, cosh_pair):

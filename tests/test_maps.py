@@ -209,6 +209,16 @@ def test_attracting_cycle_points_are_listed_once():
     assert trunc.attracting_cycle_points() == [a, b]
 
 
+def test_cosh_preimages_where_twice_the_value_overflows(cosh_map):
+    # the branch bases are log(2a) for huge a: as log(a) + log 2 where 2a is inf
+    for a in (-1e308 + 0j, 1.7e308 + 0j, -1.79e308 + 0j):
+        points = cosh_map.preimages(a, 800.0)
+        assert points
+        assert all(abs(evaluate(cosh_map, z) - a) <= 1e-12 * abs(a) for z in points)
+        z = nearest_preimage(cosh_map, a)
+        assert abs(evaluate(cosh_map, z) - a) <= 1e-12 * abs(a)
+
+
 def test_nearest_preimage(pi_sinh_map):
     a = 5.5 + 0.5j
     z = nearest_preimage(pi_sinh_map, a)

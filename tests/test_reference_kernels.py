@@ -14,10 +14,12 @@ The circle radius of homotopy representatives and the Spearman tie ranks
 were rewritten as closed forms, which must agree bit for bit with the loops
 they replaced wherever those loops finish.  The length floor that lets
 expansion certificates skip candidate paths is a bound instead: it must
-never exceed the reference length.  Candidate paths bounded together must
-each get the float that ``certified_curve_length`` gives the path alone, and
-the nearest candidates, picked without ordering every boundary point, must
-be the start of the point order.
+never exceed the reference length, nor fall below the floor whose cone
+terms are minima over whole isolation discs, kept here as a reference.
+Candidate paths bounded together must each get the float that
+``certified_curve_length`` gives the path alone, and the nearest
+candidates, picked without ordering every boundary point, must be the start
+of the point order.
 """
 
 import cmath
@@ -33,7 +35,7 @@ from hyporb.bounds import BoundChainResult, ChainViolation, default_w_grid
 from hyporb.certify import (
     _RADIUS_FACTORS,
     _blocked,
-    _cone_density_min,
+    _cone_density_floor,
     _curve_lengths,
     _length_floors,
     _local_isolation,
@@ -782,12 +784,12 @@ def _straddling_curves(orb, rng):
 
 
 @pytest.mark.parametrize("surface", sorted(_SURFACES))
-def test_length_floor_is_below_certified_length(surface):
+def test_length_floor_is_below_certified_length(surface, monkeypatch):
     # the floor must not exceed the certified length whatever the refinement:
     # final pieces finer than the floor's, coarser ones (0.5), and when the
     # rounds run out
     rng = np.random.default_rng(31)
-    compared = 0
+    compared = raised = 0
     for _ in range(10):
         orb = _random_orbifold(rng, _SURFACES[surface])
         curves = [_random_polyline(rng, orb) for _ in range(4)] + _straddling_curves(orb, rng)
@@ -795,6 +797,11 @@ def test_length_floor_is_below_certified_length(surface):
         floors = _floors(orb, paths, 1e-9)
         # one call for all paths gives each path the floor it gets alone
         assert floors == [_floors(orb, [path], 1e-9)[0] for path in paths]
+        # each cone term is the minimum over the piece's distances, never
+        # below the one over the whole disc
+        whole = _whole_disc_floors(orb, paths, 1e-9, monkeypatch)
+        assert all(f >= w for f, w in zip(floors, whole)), (floors, whole)
+        raised += sum(f > w for f, w in zip(floors, whole))
         for curve, floor in zip(curves, floors):
             path_len = sum(abs(b - a) for a, b in zip(curve.vertices, curve.vertices[1:]))
             for kw in ({"refinement": 1e-3}, {"refinement": path_len / 256.0},
@@ -806,7 +813,7 @@ def test_length_floor_is_below_certified_length(surface):
                     continue
                 assert 0.0 < floor <= want, (curve.vertices, kw, floor, want)
                 compared += 1
-    assert compared >= 150
+    assert compared >= 150 and raised >= 20, (compared, raised)
 
 
 @pytest.mark.parametrize("surface", sorted(_SURFACES))
@@ -859,22 +866,70 @@ def test_length_floor_of_mark_free_or_zero_length_paths_is_zero():
     assert _floors(orb, [[1.0 + 1j, 1.0 + 1j], [1.0 + 1j, 2.0 + 1j]], 1e-9)[0] == 0.0
 
 
+def _cone_density_min(k, eps):
+    """Minimum over 0 < d < eps of the one-cone density, lowered by 1e-13 relative.
+
+    The floor's cone term before it took each piece's own distance range.
+    """
+    s = (k - 1.0) / (k + 1.0)
+    return (2.0 - 2e-13) / (k * eps * s ** ((k - 1.0) / 2.0) * (1.0 - s))
+
+
+def _whole_disc_floors(orb, paths, margin, monkeypatch):
+    """``_floors`` with the whole-disc cone minimum in place of the range one."""
+    with monkeypatch.context() as m:
+        m.setattr(certify, "_cone_density_floor",
+                  lambda k, eps, eps_root, lo, hi: np.where(lo < eps, _cone_density_min(k, eps), np.inf))
+        return _floors(orb, paths, margin)
+
+
+def _cone_densities_in(k, e, lo, hi):
+    """The density on a fine grid over [max(lo, 0+), min(hi, e)), its ends and about the minimiser."""
+    d_star = e * ((k - 1.0) / (k + 1.0)) ** (k / 2.0)
+    start, stop = max(lo, 1e-9 * e), min(hi, np.nextafter(e, 0.0))
+    grid = np.concatenate([
+        np.linspace(start, stop, 20001),
+        d_star * (1.0 + np.linspace(-1e-5, 1e-5, 2001)),
+    ])
+    grid = grid[(grid >= start) & (grid <= stop)]
+    with np.errstate(divide="ignore"):
+        return cone_density_formula(float(k), e, e ** (1.0 / k), grid)
+
+
 @pytest.mark.parametrize("k", [2, 3, 4, 6])
 def test_cone_density_min_is_the_minimum_over_the_disc(k):
-    eps = np.geomspace(1e-4, 1e3, 15)
-    got = _cone_density_min(float(k), eps)
+    # the floor over the whole disc is the reference's minimum
+    for e in np.geomspace(1e-4, 1e3, 15):
+        got = float(_cone_density_floor(float(k), e, e ** (1.0 / k), 0.0, e))
+        want = float(_cone_density_min(float(k), e))
+        density = _cone_densities_in(k, e, 0.0, e)
+        assert max(got, want) <= density.min()
+        assert density.min() - min(got, want) <= 1e-12 * density.min()
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 6])
+def test_cone_density_floor_is_the_minimum_over_the_range(k):
     u = (k - 1.0) / (k + 1.0)
-    for e, m in zip(eps, got):
+    checked = 0
+    for e in np.geomspace(1e-4, 1e3, 15):
         root = e ** (1.0 / k)
         d_star = e * u ** (k / 2.0)
-        # the whole open interval, and a fine grid about the minimiser
-        grid = np.concatenate([
-            np.linspace(0.0, e, 20001)[1:-1],
-            d_star * (1.0 + np.linspace(-1e-5, 1e-5, 2001)),
-        ])
-        density = cone_density_formula(float(k), e, root, grid)
-        assert m <= density.min()
-        assert density.min() - m <= 1e-12 * m
+        # range ends from below 0 to beyond eps, on both sides of the
+        # minimiser; the lower ones stay at most halfway from it to eps,
+        # where 1 - s cancels few digits
+        lows = [-0.5 * e, 0.0, 0.2 * d_star, 0.9 * d_star, d_star, 1.1 * d_star, 0.5 * (d_star + e)]
+        assert float(_cone_density_floor(float(k), e, root, e, 1.5 * e)) == math.inf
+        for lo in lows:
+            for hi in lows + [0.999 * e, e, 1.5 * e]:
+                if hi <= lo or hi <= 0.0:
+                    continue
+                got = float(_cone_density_floor(float(k), e, root, lo, hi))
+                assert got <= _cone_densities_in(k, e, lo, hi).min(), (e, lo, hi)
+                # the density at the point of the range nearest the minimiser
+                at = cone_density_formula(float(k), e, root, min(max(d_star, lo), hi))
+                assert 0.0 < at - got <= 2e-13 * at, (e, lo, hi)
+                checked += 1
+    assert checked == 15 * 41
 
 
 # ---------------------------------------------------------------------------
