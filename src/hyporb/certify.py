@@ -45,10 +45,6 @@ _LOOKAHEAD_CELLS = 1024
 # A candidate path is skipped once its floor exceeds the best length by this
 # relative margin, far above the rounding of either sum.
 _FLOOR_SLACK = 1e-9
-# Candidate paths bounded together by one round loop.  Each round's arrays
-# grow with the paths: all of a certificate's paths at once took about 17%
-# more peak memory on an `expansion --map cosh` run than 4 at a time.
-_BATCH_PATHS = 4
 # (starts, ends, path ids) of segments and per path whether it is rejected: see _path_segments.
 _Segments = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
@@ -140,56 +136,14 @@ def certified_curve_length(
     The sum of finished pieces never decreases, so the call returns ``inf``
     as soon as it reaches ``cutoff``: the result is ``inf`` exactly when the
     length is at least ``cutoff``, and the length itself otherwise.
+    ``expansion_certificate`` bounds each candidate path by one call, with
+    the best length so far as its cutoff.
     """
     if refinement <= 0:
         raise DomainError("refinement must be positive")
     a, b = _segments(curve.as_array())
     if _blocked(orb, a, b, mark_margin).any():
         raise DomainError("curve touches a mark or the surface boundary")
-    return _bounded_lengths(orb, a, b, None, refinement, [cutoff], max_rounds)[0]
-
-
-def _curve_lengths(
-    orb: MarkedOrbifold,
-    segments: _Segments,
-    chunk: list[int],
-    refinements: list[float],
-    cutoffs: list[float],
-    max_rounds: int = 60,
-) -> list[float | None]:
-    """``certified_curve_length`` of the table's paths ``chunk``, with ``refinements`` and ``cutoffs``.
-
-    ``None`` stands for a path that the table rejects; every other entry is
-    the float that call returns.  A mask keeps each path's segments in order.
-    """
-    a, b, ids, rejected = segments
-    local = np.full(rejected.size, -1)  # each path's place in the chunk
-    local[chunk] = np.arange(len(chunk))
-    keep = (local[ids] >= 0) & ~rejected[ids]
-    lengths = _bounded_lengths(orb, a[keep], b[keep], local[ids[keep]], np.array(refinements),
-                               cutoffs, max_rounds)
-    return [None if r else length for r, length in zip(rejected[chunk].tolist(), lengths)]
-
-
-def _bounded_lengths(
-    orb: MarkedOrbifold,
-    a: np.ndarray,
-    b: np.ndarray,
-    ids: np.ndarray | None,
-    refinement: float | np.ndarray,
-    cutoffs: list[float],
-    max_rounds: int,
-) -> list[float]:
-    """The round loop of ``certified_curve_length`` over the segments ``[a, b]`` of several paths.
-
-    ``ids[i]`` is the path of segment i and ``refinement[p]`` that of path p;
-    ``ids`` None means one path, of refinement ``refinement``.  Every path's
-    pieces share each ``piece_bounds`` call, and a path drops out once its
-    total reaches its cutoff.  A path's pieces keep their relative order in
-    every round (a mask keeps order, and halving gives ``[a, mid]``), so each
-    path sums the same products in the same order as alone: each total is
-    the float that ``certified_curve_length`` gives the path alone.
-    """
     marks = orb.mark_array
     cone_groups = orb.cone_groups
 
@@ -218,13 +172,13 @@ def _bounded_lengths(
             far = np.minimum(far, np.where(inside, cone_far, np.inf).min(axis=0))
         return sup, far
 
-    totals = [0.0] * len(cutoffs)
+    total = 0.0
     ahead = 0  # levels of the last piece_bounds call not yet replayed
     for r in range(max_rounds):
         if not a.size:
             break
         lens = np.abs(b - a)
-        split = lens > (refinement if ids is None else refinement[ids])
+        split = lens > refinement
         # a round in which every piece is too long only halves
         if not split.all():
             bounded = ~split
@@ -243,21 +197,13 @@ def _bounded_lengths(
             sup = sup_t[at]
             split[bounded] = sup > _TIGHTEN * far_t[at]
             done = ~split
-            products = lens[done] * sup[done[bounded]]
-            if _add_finished(totals, cutoffs, products, None if ids is None else ids[done]):
-                if ids is None:
-                    break
-                split &= np.isfinite(totals)[ids]  # drop the pieces of paths at their cutoff
-            if not split.any():
+            total += float((lens[done] * sup[done[bounded]]).sum())
+            if total >= cutoff or not split.any():
                 break
             a, b, pos = a[split], b[split], pos[split]
-            if ids is not None:
-                ids = ids[split]
         mid = 0.5 * (a + b)
         a = np.concatenate([a, mid])
         b = np.concatenate([mid, b])
-        if ids is not None:
-            ids = np.concatenate([ids, ids])
         if ahead > 1:
             # a piece's halves sit one and two of its level's sizes further on
             pos, step = np.concatenate([pos + step, pos + 2 * step]), 2 * step
@@ -265,29 +211,9 @@ def _bounded_lengths(
     else:
         lens = np.abs(b - a)
         sup, _ = piece_bounds(a, b)
-        _add_finished(totals, cutoffs, lens * sup, ids)
-    # a path without pieces has length 0
-    return [math.inf if total >= cutoff else total for total, cutoff in zip(totals, cutoffs)]
-
-
-def _add_finished(
-    totals: list[float], cutoffs: list[float], products: np.ndarray, ids: np.ndarray | None
-) -> bool:
-    """Add each path's products of finished pieces to its total; whether a total reached its cutoff.
-
-    Each path's products are summed by one ``.sum()``, in piece order, and a
-    total that reaches its path's cutoff becomes ``inf`` and stays so.
-    ``ids`` None means every product is of the one path.
-    """
-    reached = False
-    for p, cutoff in enumerate(cutoffs):
-        if totals[p] == math.inf:
-            continue
-        totals[p] += float((products if ids is None else products[ids == p]).sum())
-        if totals[p] >= cutoff:
-            totals[p] = math.inf
-            reached = True
-    return reached
+        total += float((lens * sup).sum())
+    # a curve without pieces has length 0
+    return math.inf if total >= cutoff else total
 
 
 def _lookahead_depth(cells: int, rounds_left: int) -> int:
@@ -372,13 +298,13 @@ def expansion_certificate(
     high-imaginary selection that keeps paths away from mark rows) are joined
     to ``z`` by straight or single-waypoint paths; the smallest certified
     path length wins, the earliest such path in candidate order on a tie.
-    Paths are tried in the stable order of their length floors
-    (``_length_floors``).  The first one that is not rejected is certified
-    alone; the rest are bounded together, ``_BATCH_PATHS`` at a time, each
-    with the best length so far as its ``cutoff`` (one ulp above it for a
-    path that precedes the best one in candidate order, which wins a tie),
-    so a losing path stops early.  A path whose floor exceeds the best
-    length so far is skipped.  The winner is the same as certifying every
+    Paths are bounded one at a time, each by one ``certified_curve_length``
+    call, in the stable order of their length floors (``_length_floors``).
+    Until a path finishes the cutoff is ``inf``; then it is the best length
+    so far (one ulp above it for a path that precedes the best one in
+    candidate order, which wins a tie), so a losing path stops early.  The
+    search ends at the first floor above the best length, since every later
+    floor is at least as high.  The winner is the same as certifying every
     path in full.
     On a mark-free disc orbifold the exact hyperbolic distance is used,
     which reproduces the sharp single-cone case.
@@ -410,35 +336,26 @@ def expansion_certificate(
 
     margin = _MARGIN_REL * _local_isolation(base, z)
     paths = [path_pts for b in candidates for path_pts in _candidate_paths(z, b)]
-    segments = _path_segments(base, paths, margin)
-    floors = _length_floors(base, segments)
+    floors = _length_floors(base, _path_segments(base, paths, margin))
 
-    def refine(i: int) -> float:
-        return max(refinement, _path_len(paths[i]) / 256.0)
-
-    order = sorted(range(len(paths)), key=floors.__getitem__)
     best: tuple[float, int] | None = None  # (length, path index)
-    for n, i in enumerate(order):
+    for i in sorted(range(len(paths)), key=floors.__getitem__):
+        cutoff = math.inf
+        if best is not None:
+            if floors[i] > best[0] * (1.0 + _FLOOR_SLACK):
+                break  # this path, and every later one, would return inf at its cutoff
+            # one ulp above the best length for a path that would win a tie
+            cutoff = math.nextafter(best[0], math.inf) if i < best[1] else best[0]
+        refine = max(refinement, _path_len(paths[i]) / 256.0)
         try:
-            length = certified_curve_length(
-                base, PolylineCurve(paths[i]), refinement=refine(i), mark_margin=margin
-            )
+            length = certified_curve_length(base, PolylineCurve(paths[i]), refine, margin,
+                                            cutoff=cutoff)
         except DomainError:
             continue
-        if math.isfinite(length):
+        if math.isfinite(length):  # below the cutoff: the best so far
             best = (length, i)
-            break
     if best is None:
         raise PathBlocked(f"no mark-avoiding path from {z!r} to the boundary set")
-    rest = order[n + 1 :]
-    # a path whose floor exceeds the best length would return inf at its cutoff
-    while rest := [i for i in rest if floors[i] <= best[0] * (1.0 + _FLOOR_SLACK)]:
-        chunk, rest = rest[:_BATCH_PATHS], rest[_BATCH_PATHS:]
-        cutoffs = [math.nextafter(best[0], math.inf) if i < best[1] else best[0] for i in chunk]
-        lengths = _curve_lengths(base, segments, chunk, [refine(i) for i in chunk], cutoffs)
-        for i, length in zip(chunk, lengths):
-            if length is not None and (length, i) < best:
-                best = (length, i)
     return _certificate(base, z, paths[best[1]], best[0])
 
 

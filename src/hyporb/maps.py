@@ -440,11 +440,23 @@ def nearest_preimage(map_spec: EntireMapSpec, a: complex) -> complex:
 
     This seeds the inverse branch of a pullback; raises NotFound when there is none.
     Only the preimages that ``preimages(a, r_max, near=a)`` returns are compared.
+    The point found has Im z close to Im a, rounded to the float spacing
+    there, so its image is off ``a`` by about 1e-16 |Im a| relative (past
+    |Im a| ~ 1e14 the spacing swamps the lattice step 2*pi): a point whose
+    image is off by more than 1e-9 relative (1e-9 absolute below |a| = 1),
+    as from about |Im a| = 1e7, raises NotFound too.
     """
     pres = map_spec.preimages(a, abs(a) + 12.0, near=a)
     if not pres:
         raise NotFound(f"no preimage of {a!r} within |z| <= |a| + 12")
-    return pres[nearest_first(pres, a)[0]]
+    z = pres[nearest_first(pres, a)[0]]
+    try:
+        residual = abs(evaluate(map_spec, z) - a) / max(1.0, abs(a))
+    except (Overflow, OverflowError):  # an image or a difference beyond the float range
+        residual = math.inf
+    if residual > 1e-9:
+        raise NotFound(f"no preimage of {a!r} found: the lattice point {z!r} maps elsewhere")
+    return z
 
 
 def pullback_curve(

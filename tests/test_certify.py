@@ -9,13 +9,11 @@ import pytest
 from hyporb import certify
 from hyporb.bounds import lambda_lower
 from hyporb.certify import (
-    _BATCH_PATHS,
     _FLOOR_SLACK,
     _MAX_CANDIDATES,
     CleanDisc,
     _blocked,
     _candidate_paths,
-    _curve_lengths,
     _length_floors,
     _local_isolation,
     _path_len,
@@ -29,8 +27,8 @@ from hyporb.certify import (
     upper_density_bound,
 )
 from hyporb.curves import PolylineCurve, segment_point_distances
-from hyporb.errors import DomainError, PathBlocked
-from hyporb.maps import nearest_first
+from hyporb.errors import DomainError, Overflow, PathBlocked
+from hyporb.maps import PointSet, evaluate, nearest_first
 from hyporb.models import ConeDisc, cone_density_formula, density
 from hyporb.orbifolds import (
     MarkedOrbifold,
@@ -210,13 +208,12 @@ def test_certificate_search_matches_exhaustive_search(name, request, monkeypatch
             points.append(z)
     expected = [_exhaustive_search(base, z, supply) for z in points]
 
-    # Paths go in the stable order of their floors.  Up to the first one that
-    # is not rejected each is certified alone; the others are bounded in
-    # chunks of _BATCH_PATHS, and a path whose floor exceeds the best length
-    # so far is skipped.  Every loser stops at its cutoff and returns inf, so
-    # few paths finish.  One segment table per certificate serves the floors
-    # and every batch, so _blocked runs once for it and once per call.
-    count = {"calls": 0, "batched": 0, "finished": 0, "tables": 0, "blocked": 0}
+    # Paths go one at a time, each by one call, in the stable order of their
+    # floors, and the search ends at the first floor above the best length so
+    # far.  Every loser stops at its cutoff and returns inf, so few paths
+    # finish.  One segment table per certificate serves the floors, so
+    # _blocked runs once for it and once per call.
+    count = {"calls": 0, "finished": 0, "tables": 0, "blocked": 0}
     measured = []
     paths = []  # the candidate paths of the current certificate
 
@@ -236,16 +233,7 @@ def test_certificate_search_matches_exhaustive_search(name, request, monkeypatch
         count["finished"] += math.isfinite(length)
         return length
 
-    def batched(orb, segments, chunk, *args, **kwargs):
-        assert 1 <= len(chunk) <= _BATCH_PATHS
-        count["batched"] += len(chunk)
-        measured.extend(paths[i] for i in chunk)
-        lengths = _curve_lengths(orb, segments, chunk, *args, **kwargs)
-        count["finished"] += sum(x is not None and math.isfinite(x) for x in lengths)
-        return lengths
-
     monkeypatch.setattr(certify, "certified_curve_length", counted)
-    monkeypatch.setattr(certify, "_curve_lengths", batched)
     monkeypatch.setattr(certify, "_path_segments", table)
     monkeypatch.setattr(certify, "_blocked", blocked)
     skipped_total = 0
@@ -262,21 +250,16 @@ def test_certificate_search_matches_exhaustive_search(name, request, monkeypatch
         for (_, length), floor in zip(tried, floors):
             # the floor is sound on real certificates: never above the length
             assert length is None or floor <= length
-        order = sorted(range(len(tried)), key=floors.__getitem__)
         want, so_far = [], None
-        for n, i in enumerate(order):
-            want.append(i)
-            if tried[i][1] is not None:
-                so_far = (tried[i][1], i)
+        for i in sorted(range(len(tried)), key=floors.__getitem__):
+            if so_far is not None and floors[i] > so_far[0] * (1.0 + _FLOOR_SLACK):
                 break
-        rest = order[n + 1 :]
-        while rest:
-            rest = [i for i in rest if floors[i] <= so_far[0] * (1.0 + _FLOOR_SLACK)]
-            chunk, rest = rest[:_BATCH_PATHS], rest[_BATCH_PATHS:]
-            want += chunk
-            so_far = min([so_far] + [(tried[i][1], i) for i in chunk if tried[i][1] is not None])
-        # each path measured exactly once, by a call or in a batch, in that
-        # order; each other path skipped by a floor above the winner's length
+            want.append(i)
+            length = tried[i][1]
+            if length is not None and (so_far is None or (length, i) < so_far):
+                so_far = (length, i)
+        # each path measured exactly once, in that order; each other path
+        # skipped by a floor above the winner's length
         assert [list(path) for path in measured] == [tried[i][0] for i in want]
         assert len(set(want)) == len(want)
         for i in set(range(len(tried))) - set(want):
@@ -284,7 +267,7 @@ def test_certificate_search_matches_exhaustive_search(name, request, monkeypatch
         skipped_total += len(tried) - len(want)
     # about 36 per certificate without the cutoff
     assert count["finished"] <= 6 * len(points), count
-    assert skipped_total > count["calls"] + count["batched"], (skipped_total, count)
+    assert skipped_total > count["calls"], (skipped_total, count)
 
 
 def test_certificate_search_work_is_pinned(request, monkeypatch):
@@ -293,7 +276,10 @@ def test_certificate_search_work_is_pinned(request, monkeypatch):
     # Certifying each cosh path alone, in candidate order, took 459; testing
     # the rejections again in each batch took 188 (cosh) and 265
     # (cosh_minus_one, whose base has a removed disc); cone floors over the
-    # whole isolation disc, not the piece's distances, took 155 and 213.
+    # whole isolation disc, not the piece's distances, took 155 and 213;
+    # bounding the paths after the first finished one together, 4 at a time,
+    # took 91 and 124.  Each path now has its own call, which repeats the
+    # rejection test of the segment table and bounds the path's rounds alone.
     passes = 0
 
     def counted(*args):
@@ -313,7 +299,81 @@ def test_certificate_search_work_is_pinned(request, monkeypatch):
             z = 2.0 * 50.0 ** (j / 19) * complex(math.cos(theta), math.sin(theta))
             expansion_certificate(pair, z, supply)
         got[name] = passes
-    assert got == {"cosh": 91, "cosh_minus_one": 124}
+    assert got == {"cosh": 109, "cosh_minus_one": 215}
+
+
+def _repelling_cycles(spec, n):
+    """Repelling cycles of exact period ``n``, each once, as (points, log |(f^n)'|).
+
+    Newton on f^n(z) - z from a 25 x 25 seed grid on [-12, 12]^2.
+    """
+    seen = PointSet()
+    cycles = []
+    for re in np.linspace(-12.0, 12.0, 25):
+        for im in np.linspace(-12.0, 12.0, 25):
+            z = complex(re, im)
+            try:
+                for _ in range(60):
+                    pts, deriv = [z], 1.0 + 0j
+                    for _ in range(n):
+                        deriv *= spec.deriv(pts[-1])
+                        pts.append(evaluate(spec, pts[-1]))
+                    step = (pts[-1] - z) / (deriv - 1.0)
+                    z -= step
+                    if abs(step) <= 1e-13 * max(1.0, abs(z)):
+                        break
+                pts = [z]
+                for _ in range(n):
+                    pts.append(evaluate(spec, pts[-1]))
+            except (Overflow, OverflowError, ZeroDivisionError):
+                continue
+            scale = max(1.0, abs(z))
+            # a cycle, of exact period n, not found before
+            if abs(pts[-1] - z) > 1e-9 * scale or (n == 2 and abs(pts[1] - z) <= 1e-6 * scale):
+                continue
+            if any(seen.find(p) is not None for p in pts[:-1]):
+                continue
+            for p in pts[:-1]:
+                seen.add(p)
+            moduli = [abs(spec.deriv(p)) for p in pts[:-1]]
+            if 0.0 in moduli:  # superattracting
+                continue
+            log_multiplier = math.fsum(math.log(m) for m in moduli)
+            if log_multiplier > 1e-9:
+                cycles.append((pts[:-1], log_multiplier))
+    return cycles
+
+
+@pytest.mark.parametrize("name", ["cosh", "pi_sinh", "cosh_minus_one"])
+def test_certificates_on_a_cycle_capture_at_most_its_multiplier(name, request):
+    # Along a cycle p_0, ..., p_{n-1} the orbifold metric's expansion
+    # factors multiply to |(f^n)'(p_0)|, as the densities cancel, and each
+    # factor is at least the certificate's lambda_bar at its point.  So the
+    # logs of the floors must sum to at most log |(f^n)'(p_0)|: a check of
+    # the whole certificate chain against the map itself.
+    spec = request.getfixturevalue(f"{name}_map")
+    pair = request.getfixturevalue(f"{name}_pair")
+    base, lift = pair
+    supply = boundary_set(spec, lift, base, 800.0)
+    ratios, marked, blocked = [], 0, 0
+    for n in (1, 2):
+        for pts, log_multiplier in _repelling_cycles(spec, n):
+            # certificates exist only at unmarked points of the base surface
+            if any(not base.contains(p) or base.ramification(p) > 1 or lift.ramification(p) > 1
+                   for p in pts):
+                marked += 1
+                continue
+            try:
+                certs = [expansion_certificate(pair, p, supply) for p in pts]
+            except PathBlocked:
+                blocked += 1
+                continue
+            captured = math.fsum(math.log(cert.lambda_bar) for cert in certs)
+            assert captured <= log_multiplier, (pts, captured, log_multiplier)
+            ratios.append(captured / log_multiplier)
+    print(f"{name}: {len(ratios)} cycles, {marked} marked or outside, {blocked} blocked, "
+          f"capture ratio median {np.median(ratios):.3f}, max {max(ratios):.3f}")
+    assert len(ratios) >= 100
 
 
 def test_scan_empty_boundary_yields_warning_rows(cosh_map, cosh_pair):

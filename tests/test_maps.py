@@ -219,6 +219,18 @@ def test_cosh_preimages_where_twice_the_value_overflows(cosh_map):
         assert abs(evaluate(cosh_map, z) - a) <= 1e-12 * abs(a)
 
 
+def test_nearest_preimage_refuses_a_point_that_maps_elsewhere(cosh_map):
+    # at huge |Im a| the lattice point tried is Im a rounded to the float
+    # spacing there: cosh of the point for -1.7e308j is off by 97% relative,
+    # and for 1e308 + 1e308j the difference from a overflows
+    for a in (-1.7e308j, 1e308 + 1e308j, 1e200 + 1e200j, 1e12j):
+        with pytest.raises(NotFound):
+            nearest_preimage(cosh_map, a)
+    for a in (2.0 + 3.0j, 4.05e72 + 0j, -1e308 + 0j, 3.0 + 1e5j):
+        z = nearest_preimage(cosh_map, a)
+        assert abs(evaluate(cosh_map, z) - a) <= 1e-9 * max(1.0, abs(a))
+
+
 def test_nearest_preimage(pi_sinh_map):
     a = 5.5 + 0.5j
     z = nearest_preimage(pi_sinh_map, a)

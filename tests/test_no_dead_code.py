@@ -8,7 +8,10 @@ A definition counts as used when its name appears as a ``Name``, an
 ``hyporb/__init__.py`` count as the public API.  Code that only tests call is
 dead code under this rule.  An attribute set as ``self.<name> = ...`` counts
 as used when some attribute read (an ``Attribute`` in load context) in
-``src/hyporb`` names it.  An import counts as used when the name it binds
+``src/hyporb`` names it.  A module-level assignment (a constant or a type
+alias) counts as used when its name is read somewhere in ``src/hyporb``: a
+``Name`` in load context, an ``Attribute`` or an import alias; dunders such
+as ``__version__`` are exempt.  An import counts as used when the name it binds
 appears as a ``Name`` in the importing module; ``hyporb/__init__.py``, whose
 imports are the re-exports, and ``from __future__`` imports are exempt.
 
@@ -72,6 +75,34 @@ def unread_attributes(package_dir: Path) -> list[str]:
     return unread
 
 
+def unread_module_names(package_dir: Path) -> list[str]:
+    trees = _trees(package_dir)
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.alias):
+                read.add(node.asname or node.name)
+    unread = []
+    for filename, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, ast.AnnAssign):
+                targets = [node.target]
+            else:
+                continue
+            for target in targets:
+                for name in ast.walk(target):
+                    if (isinstance(name, ast.Name) and name.id not in read
+                            and not (name.id.startswith("__") and name.id.endswith("__"))):
+                        unread.append(f"{filename}:{node.lineno} {name.id}")
+    return unread
+
+
 def _is_point_key(node: ast.expr) -> bool:
     """Whether ``node`` is a lambda returning ``(abs(...), <x>.real, <y>.imag)``."""
     if not (isinstance(node, ast.Lambda) and isinstance(node.body, ast.Tuple)):
@@ -127,6 +158,20 @@ def test_every_definition_is_referenced_in_the_package():
 
 def test_every_instance_attribute_is_read_in_the_package():
     assert unread_attributes(Path(hyporb.__file__).parent) == []
+
+
+def test_every_module_level_name_is_read_in_the_package():
+    assert unread_module_names(Path(hyporb.__file__).parent) == []
+
+
+def test_an_unread_module_level_name_is_reported(tmp_path):
+    package = Path(hyporb.__file__).parent
+    for path in package.glob("*.py"):
+        (tmp_path / path.name).write_text(path.read_text())
+    certify = tmp_path / "certify.py"
+    lines = certify.read_text().splitlines()
+    certify.write_text("\n".join(lines + ["_UNUSED = 1", ""]))
+    assert unread_module_names(tmp_path) == [f"certify.py:{len(lines) + 1} _UNUSED"]
 
 
 def test_the_point_order_has_one_home():

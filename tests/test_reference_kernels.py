@@ -15,11 +15,9 @@ were rewritten as closed forms, which must agree bit for bit with the loops
 they replaced wherever those loops finish.  The length floor that lets
 expansion certificates skip candidate paths is a bound instead: it must
 never exceed the reference length, nor fall below the floor whose cone
-terms are minima over whole isolation discs, kept here as a reference.
-Candidate paths bounded together must each get the float that
-``certified_curve_length`` gives the path alone, and the nearest
-candidates, picked without ordering every boundary point, must be the start
-of the point order.
+terms are minima over whole isolation discs, kept here as a reference.  The
+nearest candidates, picked without ordering every boundary point, must be
+the start of the point order.
 """
 
 import cmath
@@ -36,7 +34,6 @@ from hyporb.certify import (
     _RADIUS_FACTORS,
     _blocked,
     _cone_density_floor,
-    _curve_lengths,
     _length_floors,
     _local_isolation,
     _modulus_slice,
@@ -696,70 +693,6 @@ def test_cutoff_inside_a_lookahead_returns_inf_or_the_same_length(d):
     for cutoff in [want * j / 32 for j in range(1, 33)] + [math.nextafter(want, math.inf)]:
         got = certified_curve_length(orb, rep, refinement=1.0, mark_margin=0.0, cutoff=cutoff)
         assert got == (math.inf if want >= cutoff else want), (want, cutoff, got)
-
-
-# Several paths bounded together: each must get the float it gets alone.
-def _alone(orb, path, refinement, margin, cutoff, max_rounds):
-    """``certified_curve_length`` of the path alone; None when it rejects the path."""
-    try:
-        return certified_curve_length(orb, PolylineCurve(path), refinement=refinement,
-                                      mark_margin=margin, max_rounds=max_rounds, cutoff=cutoff)
-    except DomainError:
-        return None
-
-
-@pytest.mark.parametrize("surface", sorted(_SURFACES))
-def test_paths_bounded_together_match_each_alone(surface):
-    rng = np.random.default_rng(41)
-    finished = cut = rejected = 0
-    for _ in range(10):
-        orb = _random_orbifold(rng, _SURFACES[surface])
-        p = orb.marks[0][0]
-        pool = [_random_polyline(rng, orb).vertices for _ in range(6)]
-        pool += [[p - 0.01, p + 0.01], [0.1 + 0.2j, 0.1 + 0.2j]]  # through a mark, length 0
-        pool += [curve.vertices for curve in _LEAVING[surface]]
-        for _ in range(4):
-            # a chunk of the pool's table, in an order of its own
-            chunk = rng.choice(len(pool), int(rng.integers(1, 7)), replace=False).tolist()
-            paths = [pool[i] for i in chunk]
-            refinements = [float(rng.choice([0.2, 0.05, 0.01])) for _ in paths]
-            margin = float(rng.choice([1e-9, 0.05]))
-            max_rounds = int(rng.choice([3, 6, 60]))
-            cutoffs = []
-            for path, refinement in zip(paths, refinements):
-                full = _alone(orb, path, refinement, margin, math.inf, max_rounds)
-                if full is None or full == 0.0:
-                    cutoffs.append(float(rng.choice([0.0, 1e-6, math.inf])))
-                else:
-                    j = int(rng.integers(5))
-                    cutoffs.append([full, math.nextafter(full, math.inf), full / 2, 2 * full,
-                                    math.inf][j])
-            table = _path_segments(orb, pool, margin)
-            got = _curve_lengths(orb, table, chunk, refinements, cutoffs, max_rounds)
-            for path, refinement, cutoff, length in zip(paths, refinements, cutoffs, got):
-                want = _alone(orb, path, refinement, margin, cutoff, max_rounds)
-                assert length == want, (path, refinement, cutoff, length, want)
-                finished += want is not None and math.isfinite(want)
-                cut += want == math.inf
-                rejected += want is None
-    assert finished >= 30 and cut >= 15 and rejected >= 15, (finished, cut, rejected)
-
-
-def test_paths_bounded_together_match_each_alone_in_a_lookahead(monkeypatch):
-    # representatives around one cone point: few pieces, so piece_bounds
-    # calls bound several levels, here of several paths at once
-    orb, _ = _representative(3, 0)
-    pool = [_representative(3, n)[1].vertices for n in (0, 5, 10, 15)]
-    table = _path_segments(orb, pool, 0.0)
-    chunk = [2, 0, 3]
-    alone = [_alone(orb, pool[i], 1.0, 0.0, math.inf, 60) for i in chunk]
-    calls = _recorded_lookahead(monkeypatch)
-    for cutoffs in ([math.inf] * 3, alone, [math.nextafter(x, math.inf) for x in alone],
-                    [x * 0.7 for x in alone]):
-        calls.clear()
-        got = _curve_lengths(orb, table, chunk, [1.0] * 3, cutoffs)
-        assert max(levels for levels, _ in calls) > 1
-        assert got == [_alone(orb, pool[i], 1.0, 0.0, c, 60) for i, c in zip(chunk, cutoffs)]
 
 
 # ---------------------------------------------------------------------------
