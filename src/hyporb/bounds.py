@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,11 +80,28 @@ class ChainViolation:
     slack: float
 
 
+class _ChainSamples(Sequence):
+    """The checked ``(w, k)`` pairs row by row (each w with every k, then None), none stored."""
+
+    def __init__(self, ws: tuple, ks: list[int]):
+        self._ws, self._ks = ws, (*ks, None)
+
+    def __len__(self) -> int:
+        return len(self._ws) * len(self._ks)
+
+    def __getitem__(self, i: int) -> tuple[float, int | None]:
+        row, col = divmod(range(len(self))[i], len(self._ks))
+        return self._ws[row], self._ks[col]
+
+    def __iter__(self):
+        return ((w, k) for w in self._ws for k in self._ks)
+
+
 @dataclass
 class BoundChainResult:
     """``samples``: the checked ``(w, k)`` pairs, ``k`` None for the puncture step."""
 
-    samples: list[tuple[float, int | None]]
+    samples: Sequence[tuple[float, int | None]]
     violations: list[ChainViolation]
     worst_slack: float
 
@@ -113,7 +131,7 @@ def verify_bound_chain(w_grid, k_set) -> BoundChainResult:
     if any(k < 2 for k in k_list):
         raise DomainError("cone orders must be >= 2")
     k_consts = [(k, 2.0 / k, (k - 1.0) / k) for k in k_list]
-    samples: list[tuple[float, int | None]] = []
+    w_grid = tuple(w_grid)
     violations: list[ChainViolation] = []
     worst = -math.inf
     for w in w_grid:
@@ -123,8 +141,6 @@ def verify_bound_chain(w_grid, k_set) -> BoundChainResult:
         punct = ratio_puncture_over_disc(w)
         log_w, one_minus_w2 = math.log(w), 1.0 - w * w
         row = [_cone_ratio(k, a, b, log_w, one_minus_w2) for k, a, b in k_consts]
-        samples.extend([(w, k) for k in k_list])
-        samples.append((w, None))
         # puncture - upper goes last: it is nan where both overflow to inf
         # (subnormal w), and max keeps an earlier argument over a nan, which
         # never counts as a shortfall
@@ -138,7 +154,7 @@ def verify_bound_chain(w_grid, k_set) -> BoundChainResult:
         # so the sum is infinite whenever one of them is
         if row_worst > 1e-10 or math.isinf(top + punct + up):
             violations += _row_violations(w, k_list, row, lo, punct, up)
-    return BoundChainResult(samples=samples, violations=violations, worst_slack=worst)
+    return BoundChainResult(_ChainSamples(w_grid, k_list), violations, worst)
 
 
 def _row_violations(w, k_list, row, lo, punct, up) -> list[ChainViolation]:

@@ -129,9 +129,11 @@ def certified_curve_length(
     pieces split whatever their bounds say, so bounding them would be wasted
     work.  While every piece of a round is that short, one ``piece_bounds``
     call also bounds their halves as many rounds down as
-    ``_lookahead_depth`` allows, and those rounds read their bounds from it
-    by position: each round sums the same products in the same order, so the
-    result is the float that bounding round by round gives.
+    ``_lookahead_depth`` allows, and each of those rounds is replayed from
+    its level of that call: masked to the halves of the pieces the round
+    above split, a level lists the round's pieces in round order, so each
+    round sums the same products in the same order, and the result is the
+    float that bounding round by round gives.
 
     The sum of finished pieces never decreases, so the call returns ``inf``
     as soon as it reaches ``cutoff``: the result is ``inf`` exactly when the
@@ -173,41 +175,46 @@ def certified_curve_length(
         return sup, far
 
     total = 0.0
-    ahead = 0  # levels of the last piece_bounds call not yet replayed
-    for r in range(max_rounds):
+    r = 0  # rounds run
+    while r < max_rounds:
         if not a.size:
             break
         lens = np.abs(b - a)
         split = lens > refinement
+        depth = 1
         # a round in which every piece is too long only halves
         if not split.all():
             bounded = ~split
-            if ahead:
-                at = pos[bounded]
+            if bounded.all():
+                depth = _lookahead_depth(a.size * max(marks.size, 1), max_rounds - r)
+            if depth == 1:
+                sup, far = piece_bounds(a[bounded], b[bounded])
+                split[bounded] = sup > _TIGHTEN * far
+                done = ~split
+                total += float((lens[done] * sup[done[bounded]]).sum())
             else:
-                # While every piece is short enough, one call bounds this
-                # round's pieces and their halves several rounds down.
-                ahead = 1
-                if bounded.all():
-                    ahead = _lookahead_depth(a.size * max(marks.size, 1), max_rounds - r)
-                sup_t, far_t = piece_bounds(*_dyadic_levels(a[bounded], b[bounded], ahead))
-                # this round's bounds come first; pos: where each piece's
-                # bounds sit, step: the pieces of its level
-                at, pos, step = slice(a.size), np.arange(a.size), a.size
-            sup = sup_t[at]
-            split[bounded] = sup > _TIGHTEN * far_t[at]
-            done = ~split
-            total += float((lens[done] * sup[done[bounded]]).sum())
+                # One call bounds this round's pieces and depth - 1 levels of
+                # their halves; each round is its level of that call, masked
+                # to the halves of the pieces the round above split.
+                level_a, level_b = _dyadic_levels(a, b, depth)
+                sup, far = piece_bounds(level_a, level_b)
+                lens, splits = np.abs(level_b - level_a), sup > _TIGHTEN * far
+                for level in range(depth):
+                    at = slice(a.size * ((1 << level) - 1), a.size * ((2 << level) - 1))
+                    alive = np.concatenate([split, split]) if level else bounded
+                    split = alive & splits[at]
+                    done = alive ^ split
+                    total += float((lens[at][done] * sup[at][done]).sum())
+                    if total >= cutoff or not split.any():
+                        break
+                a, b = level_a[at], level_b[at]
             if total >= cutoff or not split.any():
                 break
-            a, b, pos = a[split], b[split], pos[split]
+            a, b = a[split], b[split]
+        r += depth
         mid = 0.5 * (a + b)
         a = np.concatenate([a, mid])
         b = np.concatenate([mid, b])
-        if ahead > 1:
-            # a piece's halves sit one and two of its level's sizes further on
-            pos, step = np.concatenate([pos + step, pos + 2 * step]), 2 * step
-        ahead = max(ahead - 1, 0)
     else:
         lens = np.abs(b - a)
         sup, _ = piece_bounds(a, b)

@@ -444,8 +444,11 @@ def nearest_preimage(map_spec: EntireMapSpec, a: complex) -> complex:
     there, so its image is off ``a`` by about 1e-16 |Im a| relative (past
     |Im a| ~ 1e14 the spacing swamps the lattice step 2*pi): a point whose
     image is off by more than 1e-9 relative (1e-9 absolute below |a| = 1),
-    as from about |Im a| = 1e7, raises NotFound too.
+    as from about |Im a| = 1e7, raises NotFound too, as does an ``a`` whose
+    modulus is not a finite float.
     """
+    if not math.isfinite(math.hypot(a.real, a.imag)):  # abs(a) overflows, or is inf or nan
+        raise NotFound(f"no preimage of {a!r} found: |a| is not a finite float")
     pres = map_spec.preimages(a, abs(a) + 12.0, near=a)
     if not pres:
         raise NotFound(f"no preimage of {a!r} within |z| <= |a| + 12")

@@ -1,6 +1,8 @@
 """Relative-density bound formulas, sharpness identities, and the chain."""
 
 import math
+import tracemalloc
+from collections.abc import Sequence
 
 import pytest
 from hypothesis import given, settings
@@ -100,6 +102,54 @@ def test_bound_chain_samples_are_the_checked_pairs():
     assert len(samples) == 63_936
     assert samples[0] == (0.001, 2)
     assert samples[-1] == (0.999, None)
+
+
+def _pairs_one_by_one(w_grid, k_set):
+    """The checked pairs as a per-sample loop lists them: each w with every k, then with None."""
+    pairs = []
+    for w in w_grid:
+        for k in sorted(set(k_set)):
+            pairs.append((w, k))
+        pairs.append((w, None))
+    return pairs
+
+
+@pytest.mark.parametrize("w_grid, k_set", [
+    (default_w_grid(7), range(2, 6)),
+    ([0.5, 0.25, 0.5, 0.9], [7, 3, 3, 2, 7]),
+    (default_w_grid(5), []),
+    ([], [2, 3]),
+])
+def test_bound_chain_samples_view_lists_the_pairs_of_a_per_sample_loop(w_grid, k_set):
+    samples = verify_bound_chain(w_grid, k_set).samples
+    want = _pairs_one_by_one(w_grid, k_set)
+    assert isinstance(samples, Sequence)
+    assert list(samples) == want and len(samples) == len(want)
+    assert [samples[i] for i in range(-len(want), len(want))] == want + want
+    for i in (len(want), -len(want) - 1):
+        with pytest.raises(IndexError):
+            samples[i]
+
+
+def test_bound_chain_takes_its_grid_from_a_generator():
+    grid = default_w_grid(40)
+    want = verify_bound_chain(grid, [2, 5])
+    got = verify_bound_chain((w for w in grid), [2, 5])
+    assert list(got.samples) == list(want.samples)
+    assert (got.violations, got.worst_slack) == (want.violations, want.worst_slack)
+
+
+def test_bound_chain_stores_no_sample_pairs():
+    # a tuple per checked pair would take about 4 MB
+    grid = default_w_grid(999)
+    tracemalloc.start()
+    try:
+        result = verify_bound_chain(grid, range(2, 65))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(result.samples) == 63_936
+    assert peak < 0.5e6, peak
 
 
 def test_bound_chain_counts_a_nan_step_as_a_violation():

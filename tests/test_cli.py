@@ -154,6 +154,13 @@ def test_pullback_artifacts(tmp_path):
     assert payload["forward_residual"] <= 1e-8
 
 
+def test_pullback_from_a_value_beyond_the_float_range_names_not_found(tmp_path, capsys):
+    args = ["pullback", "--output", str(tmp_path), "--map", "pi_sinh",
+            "--set", "pullback_re_a=1.5e308", "--set", "pullback_imag=1.5e308"]
+    assert run(args) == 70
+    assert "NotFound" in capsys.readouterr().err
+
+
 def test_orbifold_artifacts(tmp_path):
     assert run(["orbifold", "--output", str(tmp_path), "--map", "pi_sinh", "--depth", "6"]) == 0
     payload = json.loads((tmp_path / "orbifold.json").read_text())

@@ -231,6 +231,16 @@ def test_nearest_preimage_refuses_a_point_that_maps_elsewhere(cosh_map):
         assert abs(evaluate(cosh_map, z) - a) <= 1e-9 * max(1.0, abs(a))
 
 
+@pytest.mark.parametrize("name", ["cosh", "pi_sinh", "cosh_minus_one"])
+def test_nearest_preimage_of_a_value_beyond_the_float_range_is_not_found(name):
+    # abs() of the first two overflows; the others have an infinite or nan part
+    spec = get_map(name)
+    for a in (1.5e308 + 1.5e308j, -1.7e308 - 1.7e308j, complex(math.inf, 0.0),
+              complex(0.0, -math.inf), complex(math.nan, 1.0)):
+        with pytest.raises(NotFound):
+            nearest_preimage(spec, a)
+
+
 def test_nearest_preimage(pi_sinh_map):
     a = 5.5 + 0.5j
     z = nearest_preimage(pi_sinh_map, a)

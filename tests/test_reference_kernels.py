@@ -695,6 +695,21 @@ def test_cutoff_inside_a_lookahead_returns_inf_or_the_same_length(d):
         assert got == (math.inf if want >= cutoff else want), (want, cutoff, got)
 
 
+def test_certified_length_matches_per_mark_loop_with_a_lookahead_after_mixed_rounds(monkeypatch):
+    # two cone groups; the short segment is bounded in the first round while
+    # the long one only splits, and once every piece is short one
+    # piece_bounds call bounds several levels
+    orb = MarkedOrbifold(_SURFACES["disc"], ((0j, 2), (1.5 + 0j, 3)))
+    assert len(orb.cone_groups) == 2
+    curve = PolylineCurve([0.05 + 0.02j, 0.25 + 0.1j, 1.0 - 0.6j])
+    short, long_ = np.abs(np.diff(curve.as_array()))
+    assert short <= 0.3 < long_
+    calls = _recorded_lookahead(monkeypatch)
+    assert _same_length_or_same_error(orb, curve, refinement=0.3)
+    assert _cutoff_gives_inf_or_same_length(orb, curve, refinement=0.3)
+    assert max(levels for levels, _ in calls) > 1
+
+
 # ---------------------------------------------------------------------------
 # Length floors of candidate paths
 # ---------------------------------------------------------------------------
@@ -1153,7 +1168,7 @@ def _chain_outcome(chain, w_grid, k_set):
     except (DomainError, ArithmeticError) as exc:
         return type(exc)
     viols = [(v.w, v.k, v.description, v.slack.hex()) for v in res.violations]
-    return res.samples, res.worst_slack.hex(), viols
+    return list(res.samples), res.worst_slack.hex(), viols
 
 
 def _assert_same_chain(w_grid, k_set):
