@@ -2,11 +2,14 @@
 
 The engine only ever needs UPPER bounds on distances: the expansion floor is
 decreasing in the distance, so any certified path length R_bar yields a valid
-certificate lambda_lower(R_bar).  Density upper bounds come from closed-form
-witness models (a one-cone disc around the nearest mark, or a mark-free
-disc), and curve lengths are summed per piece with the exact supremum of the
-witness density over the piece, refined adaptively near singularities so the
-bound converges to the true integral from above.
+certificate lambda_lower(R_bar).  Density upper bounds come from one witness
+kernel, ``_piece_bounds``: each piece of a curve takes the least density of
+its witnesses (the mark-free disc about it, and the one-cone disc of every
+mark whose isolation disc holds it), and the pointwise bound is the kernel's
+zero-length piece.  Curve lengths are summed per piece with the exact
+supremum of the witness density over the piece, refined adaptively near
+singularities so the bound converges to the true integral from above.  Only
+hyperbolic orbifolds (``MarkedOrbifold.hyperbolic``) are bounded.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from .bounds import lambda_lower
 from .curves import PolylineCurve, polyline_point_distance, segment_point_distances
 from .errors import DomainError, PathBlocked
 from .maps import EntireMapSpec, evaluate, nearest_first, nearest_preimage, pullback_curve
-from .models import ConeDisc, cone_density, cone_density_formula, hyp_distance_disc
+from .models import cone_density_formula, hyp_distance_disc
 from .orbifolds import MarkedOrbifold, boundary_set, truncation_warning
 
 # A piece keeps splitting while its density supremum exceeds this factor times
@@ -39,7 +42,7 @@ _RADIUS_FACTORS = (1.0, 1.3, 1.7)
 # Bisections of each segment before its length floor is summed, so that floor
 # pieces and the pieces of certified_curve_length nest in one dyadic tree.
 _FLOOR_DEPTH = 4
-# Piece-mark pairs one piece_bounds call of certified_curve_length may bound
+# Piece-mark pairs one _piece_bounds call of certified_curve_length may bound
 # when it looks several bisection levels ahead.
 _LOOKAHEAD_CELLS = 1024
 # A candidate path is skipped once its floor exceeds the best length by this
@@ -49,60 +52,59 @@ _FLOOR_SLACK = 1e-9
 _Segments = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
-@dataclass(frozen=True)
-class CleanDisc:
-    """A mark-free disc witness of radius ``radius`` centred at the point."""
-
-    radius: float
+# ---------------------------------------------------------------------------
+# The witness kernel and certified curve lengths
+# ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DensityBound:
-    point: complex
-    upper: float
-    witness: ConeDisc | CleanDisc
+def _piece_bounds(orb: MarkedOrbifold, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(sup bound, far-end pointwise bound) of the orbifold density per piece [a, b].
+
+    The witness kernel: each piece takes the least of its mark-free disc
+    bound and the cone bound of every mark whose isolation disc holds it.
+    """
+    marks = orb.mark_array
+    bdy = orb.surface.segment_boundary_distances(a, b)
+    # marks-major: each per-piece minimum reduces across rows; with no
+    # marks it is inf, and the clean disc alone bounds the piece
+    dmin = segment_point_distances(a, b, marks)
+    dmax = np.maximum(np.abs(a - marks[:, None]), np.abs(b - marks[:, None]))
+    sup = 2.0 / np.minimum(dmin.min(axis=0, initial=np.inf), bdy)
+    far = sup.copy()
+    for k, cols, eps, eps_root in orb.cone_groups:
+        hi = dmax[cols]
+        eps, eps_root = eps[:, None], eps_root[:, None]
+        inside = hi < eps
+        if not inside.any():
+            continue
+        # Outside the isolation disc the cone formula is negative or
+        # infinite, never a bound: mask those entries before the minimum.
+        with np.errstate(divide="ignore"):
+            cone_far = cone_density_formula(k, eps, eps_root, hi)
+            cone_near = cone_density_formula(k, eps, eps_root, dmin[cols])
+        cone_sup = np.maximum(cone_near, cone_far)
+        sup = np.minimum(sup, np.where(inside, cone_sup, np.inf).min(axis=0))
+        far = np.minimum(far, np.where(inside, cone_far, np.inf).min(axis=0))
+    return sup, far
 
 
-def upper_density_bound(orb: MarkedOrbifold, z: complex) -> DensityBound:
+def upper_density_bound(orb: MarkedOrbifold, z: complex) -> float:
     """Closed-form upper bound on the orbifold density at ``z``.
 
-    Inside the isolation disc of the nearest mark the witness is the one-cone
-    disc model there; elsewhere it is the largest mark-free disc around
-    ``z``.  Either witness embeds holomorphically, so its density dominates.
+    The bound of the zero-length piece [z, z] under ``_piece_bounds``: the
+    least density at ``z`` of the mark-free disc about it and of every
+    one-cone disc about a mark that holds it.  Each witness embeds
+    holomorphically, so its density dominates.
     """
     z = complex(z)
     if not orb.contains(z):
         raise DomainError(f"{z!r} lies outside the surface")
-    b_dist = orb.surface.boundary_distance(z)
-    if not orb.marks:
-        if not math.isfinite(b_dist):
-            raise DomainError("mark-free plane is not hyperbolic")
-        return DensityBound(point=z, upper=2.0 / b_dist, witness=CleanDisc(b_dist))
-    dists = [abs(z - p) for p, _ in orb.marks]
-    i = int(np.argmin(dists))
-    p, nu = orb.marks[i]
-    d = dists[i]
-    if d <= 1e-12:
+    if not orb.hyperbolic:
+        raise DomainError("the orbifold is not hyperbolic: no witness bounds its density")
+    if orb.marks and _local_isolation(orb, z) <= 1e-12:
         raise DomainError(f"{z!r} is numerically at a mark")
-    eps = float(orb.isolation_radii[i])
-    if not math.isfinite(eps):
-        # a plane with a single mark is not hyperbolic; no witness exists
-        raise DomainError("no finite witness disc around the only mark")
-    if d < eps:
-        return DensityBound(
-            point=z,
-            upper=cone_density(nu, eps, d),
-            witness=ConeDisc(order=nu, radius=eps, center=p),
-        )
-    delta = min(min(dists), b_dist)
-    if not math.isfinite(delta):
-        raise DomainError("unbounded mark-free region: no witness disc")
-    return DensityBound(point=z, upper=2.0 / delta, witness=CleanDisc(delta))
-
-
-# ---------------------------------------------------------------------------
-# Vectorized certified curve length
-# ---------------------------------------------------------------------------
+    at = np.array([z])
+    return float(_piece_bounds(orb, at, at)[0][0])
 
 
 def certified_curve_length(
@@ -123,11 +125,12 @@ def certified_curve_length(
     length times the exact supremum of the best witness density over the
     piece, so the total always dominates the witness-model integral.
 
-    A curve one of whose segments comes within ``mark_margin`` of a mark or
-    of the surface boundary is rejected (DomainError) before any bounding.
+    A curve on an orbifold that is not hyperbolic, or one of whose segments
+    comes within ``mark_margin`` of a mark or of the surface boundary, is
+    rejected (DomainError) before any bounding.
     Each round bounds only the pieces no longer than ``refinement``: longer
     pieces split whatever their bounds say, so bounding them would be wasted
-    work.  While every piece of a round is that short, one ``piece_bounds``
+    work.  While every piece of a round is that short, one ``_piece_bounds``
     call also bounds their halves as many rounds down as
     ``_lookahead_depth`` allows, and each of those rounds is replayed from
     its level of that call: masked to the halves of the pieces the round
@@ -143,36 +146,11 @@ def certified_curve_length(
     """
     if refinement <= 0:
         raise DomainError("refinement must be positive")
+    if not orb.hyperbolic:
+        raise DomainError("the orbifold is not hyperbolic: no witness bounds its density")
     a, b = _segments(curve.as_array())
     if _blocked(orb, a, b, mark_margin).any():
         raise DomainError("curve touches a mark or the surface boundary")
-    marks = orb.mark_array
-    cone_groups = orb.cone_groups
-
-    def piece_bounds(a_: np.ndarray, b_: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(sup bound, far-end pointwise bound) per piece."""
-        bdy = orb.surface.segment_boundary_distances(a_, b_)
-        # marks-major: each per-piece minimum reduces across rows; with no
-        # marks it is inf, and the clean disc alone bounds the piece
-        dmin = segment_point_distances(a_, b_, marks)
-        dmax = np.maximum(np.abs(a_ - marks[:, None]), np.abs(b_ - marks[:, None]))
-        sup = 2.0 / np.minimum(dmin.min(axis=0, initial=np.inf), bdy)
-        far = sup.copy()
-        for k, cols, eps, eps_root in cone_groups:
-            hi = dmax[cols]
-            eps, eps_root = eps[:, None], eps_root[:, None]
-            inside = hi < eps
-            if not inside.any():
-                continue
-            # Outside the isolation disc the cone formula is negative or
-            # infinite, never a bound: mask those entries before the minimum.
-            with np.errstate(divide="ignore"):
-                cone_far = cone_density_formula(k, eps, eps_root, hi)
-                cone_near = cone_density_formula(k, eps, eps_root, dmin[cols])
-            cone_sup = np.maximum(cone_near, cone_far)
-            sup = np.minimum(sup, np.where(inside, cone_sup, np.inf).min(axis=0))
-            far = np.minimum(far, np.where(inside, cone_far, np.inf).min(axis=0))
-        return sup, far
 
     total = 0.0
     r = 0  # rounds run
@@ -186,9 +164,9 @@ def certified_curve_length(
         if not split.all():
             bounded = ~split
             if bounded.all():
-                depth = _lookahead_depth(a.size * max(marks.size, 1), max_rounds - r)
+                depth = _lookahead_depth(a.size * max(len(orb.marks), 1), max_rounds - r)
             if depth == 1:
-                sup, far = piece_bounds(a[bounded], b[bounded])
+                sup, far = _piece_bounds(orb, a[bounded], b[bounded])
                 split[bounded] = sup > _TIGHTEN * far
                 done = ~split
                 total += float((lens[done] * sup[done[bounded]]).sum())
@@ -197,7 +175,7 @@ def certified_curve_length(
                 # their halves; each round is its level of that call, masked
                 # to the halves of the pieces the round above split.
                 level_a, level_b = _dyadic_levels(a, b, depth)
-                sup, far = piece_bounds(level_a, level_b)
+                sup, far = _piece_bounds(orb, level_a, level_b)
                 lens, splits = np.abs(level_b - level_a), sup > _TIGHTEN * far
                 for level in range(depth):
                     at = slice(a.size * ((1 << level) - 1), a.size * ((2 << level) - 1))
@@ -217,14 +195,14 @@ def certified_curve_length(
         b = np.concatenate([mid, b])
     else:
         lens = np.abs(b - a)
-        sup, _ = piece_bounds(a, b)
+        sup, _ = _piece_bounds(orb, a, b)
         total += float((lens * sup).sum())
     # a curve without pieces has length 0
     return math.inf if total >= cutoff else total
 
 
 def _lookahead_depth(cells: int, rounds_left: int) -> int:
-    """Levels one ``piece_bounds`` call covers, from ``cells`` piece-mark pairs on its top level.
+    """Levels one ``_piece_bounds`` call covers, from ``cells`` piece-mark pairs on its top level.
 
     The most levels whose pieces (each level twice the one above) hold at most
     ``_LOOKAHEAD_CELLS`` pairs, at least one and at most ``rounds_left``.
@@ -314,9 +292,12 @@ def expansion_certificate(
     floor is at least as high.  The winner is the same as certifying every
     path in full.
     On a mark-free disc orbifold the exact hyperbolic distance is used,
-    which reproduces the sharp single-cone case.
+    which reproduces the sharp single-cone case.  A base that is not
+    hyperbolic has no certified lengths and raises DomainError.
     """
     base, lift = pair
+    if not base.hyperbolic:
+        raise DomainError("the base orbifold is not hyperbolic: no witness bounds its density")
     if len(boundary) == 0:
         raise PathBlocked("empty boundary set")
     z = complex(z)

@@ -28,13 +28,12 @@ _ARC_STEP_DEG = 1.0
 class WindingClass:
     """Total argument increment of a curve about a center, in turns.
 
-    ``n`` is the rounded integer; for closed curves it is the winding
-    number, and differences of ``turns`` between same-endpoint curves are
-    exact integers up to float noise.
+    For closed curves ``turns`` is the winding number up to float noise, and
+    differences of ``turns`` between same-endpoint curves are exact integers
+    up to float noise.
     """
 
     turns: float
-    n: int
     endpoints: tuple[complex, complex]
 
 
@@ -45,7 +44,7 @@ def winding_class(curve: PolylineCurve, center: complex) -> WindingClass:
         raise DomainError("curve vertex at the winding center")
     total = float(np.angle(d[1:] / d[:-1]).sum())
     turns = total / (2.0 * math.pi)
-    return WindingClass(turns=turns, n=round(turns), endpoints=(curve.start, curve.end))
+    return WindingClass(turns=turns, endpoints=(curve.start, curve.end))
 
 
 def relative_winding(a: WindingClass, b: WindingClass) -> int:

@@ -259,7 +259,7 @@ def local_degree(map_spec: EntireMapSpec, z: complex) -> int:
 
 @dataclass(frozen=True)
 class Escaped:
-    step: int
+    """The orbit left the escape radius, or overflowed, within the truncation."""
 
 
 @dataclass(frozen=True)
@@ -324,12 +324,12 @@ def iterate_orbit(
     status: OrbitStatus | None = None
     for step in range(1, depth + 1):
         if abs(pts[-1]) > escape_radius:
-            status = Escaped(step - 1)
+            status = Escaped()
             break
         try:
             nxt = evaluate(map_spec, pts[-1])
         except Overflow:
-            status = Escaped(step)
+            status = Escaped()
             break
         # the points so far are all kept, so an index below ``step`` is a revisit
         hit = seen.add(nxt)
@@ -338,7 +338,7 @@ def iterate_orbit(
             status = Preperiodic(hit, step - hit)
             break
         if abs(nxt) > escape_radius:
-            status = Escaped(step)
+            status = Escaped()
             break
     if status is None:
         status = Undetermined(depth)

@@ -37,8 +37,7 @@ class ConeDisc:
     """Disc of radius ``radius`` about ``center`` with one cone point at the center.
 
     ``order`` is the ramification value of the cone point; ``order == 1`` is
-    allowed internally (it degenerates to the plain disc) but the public
-    contract asks for ``order >= 2``.
+    accepted and gives the density of the plain disc.
     """
 
     order: int

@@ -187,7 +187,8 @@ class MarkedOrbifold:
     the truncation (no escaping orbit), so no marks are missing.
 
     The mark geometry (``mark_array``, ``mark_orders``, ``isolation_radii``,
-    ``cone_groups``) is computed on first use and cached as read-only arrays.
+    ``cone_groups``) and ``hyperbolic`` are computed on first use and cached,
+    the arrays read-only.
     """
 
     surface: Surface
@@ -217,6 +218,18 @@ class MarkedOrbifold:
             if abs(z - p) <= SAME_POINT_TOL:
                 return nu
         return 1
+
+    @cached_property
+    def hyperbolic(self) -> bool:
+        """Whether the orbifold is hyperbolic, so that density witnesses exist.
+
+        A surface with a hole or an outer disc always is; the plane is when
+        sum(1 - 1/nu) over the marks exceeds 1 (the float sum is exactly 1.0
+        for two order-2 marks, and at least 7/6 when it exceeds 1).
+        """
+        if self.surface.holes or self.surface.outer is not None:
+            return True
+        return sum(1.0 - 1.0 / nu for _, nu in self.marks) > 1.0
 
     @cached_property
     def mark_array(self) -> np.ndarray:

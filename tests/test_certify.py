@@ -11,7 +11,6 @@ from hyporb.bounds import lambda_lower
 from hyporb.certify import (
     _FLOOR_SLACK,
     _MAX_CANDIDATES,
-    CleanDisc,
     _blocked,
     _candidate_paths,
     _length_floors,
@@ -29,7 +28,7 @@ from hyporb.certify import (
 from hyporb.curves import PolylineCurve, segment_point_distances
 from hyporb.errors import DomainError, Overflow, PathBlocked
 from hyporb.maps import PointSet, evaluate, nearest_first
-from hyporb.models import ConeDisc, cone_density_formula, density
+from hyporb.models import ConeDisc, Disc, cone_density_formula, density
 from hyporb.orbifolds import (
     MarkedOrbifold,
     Surface,
@@ -47,23 +46,77 @@ def cone_orb():
 
 
 def test_upper_density_bound_cone_model(cone_orb):
-    db = upper_density_bound(cone_orb, 0.25 + 0j)
-    assert isinstance(db.witness, ConeDisc)
-    assert abs(db.upper - 8.0 / 3.0) < 1e-12
+    upper = upper_density_bound(cone_orb, 0.25 + 0j)
+    assert abs(upper - 8.0 / 3.0) < 1e-12
     # equality case: the witness is the orbifold itself
-    assert abs(db.upper - density(ConeDisc(2, 1.0), 0.25)) < 1e-12
+    assert abs(upper - density(ConeDisc(2, 1.0), 0.25)) < 1e-12
 
 
 def test_upper_density_bound_clean_disc():
     orb = MarkedOrbifold(Surface(outer=(0j, 8.0)), ((4.0 + 0j, 2),))
-    db = upper_density_bound(orb, 0j)
-    assert isinstance(db.witness, CleanDisc)
-    assert abs(db.upper - 0.5) < 1e-12
+    assert abs(upper_density_bound(orb, 0j) - 0.5) < 1e-12
 
 
 def test_upper_density_bound_at_mark_rejected(cone_orb):
     with pytest.raises(DomainError):
         upper_density_bound(cone_orb, 0j)
+
+
+def _unit_disc_points(rng, count):
+    """``count`` seeded points of |z| <= 0.999, uniform in the disc, off the centre."""
+    r = 0.999 * np.sqrt(rng.uniform(1e-6, 1.0, count))
+    return (r * np.exp(2j * np.pi * rng.random(count))).tolist()
+
+
+@pytest.mark.parametrize("k", [2, 3, 6])
+def test_upper_density_bound_is_the_one_cone_density(k):
+    # in the one-cone unit disc the cone witness is the orbifold itself and
+    # the clean disc is never lower; the allowance covers the 1 - u^2
+    # cancellation of the cone formula near the rim
+    orb = MarkedOrbifold(Surface(outer=(0j, 1.0)), ((0j, k),))
+    for z in _unit_disc_points(np.random.default_rng(k), 1000):
+        want = density(ConeDisc(k, 1.0), z)
+        assert abs(upper_density_bound(orb, z) - want) <= 1e-12 * want
+
+
+def test_upper_density_bound_of_mark_free_disc_dominates_its_density():
+    orb = MarkedOrbifold(Surface(outer=(0j, 1.0)), ())
+    for z in _unit_disc_points(np.random.default_rng(1), 1000):
+        assert upper_density_bound(orb, z) >= density(Disc(1.0), z)
+
+
+# A plane is hyperbolic when sum(1 - 1/nu) over its marks exceeds 1: none of
+# these is (cos covers the plane with two order-2 cone points).
+_EUCLIDEAN = {
+    "plane": (),
+    "one mark": ((0j, 3),),
+    "two order-2 marks": ((0j, 2), (2.0 + 0j, 2)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_EUCLIDEAN))
+def test_orbifolds_that_are_not_hyperbolic_are_rejected(name):
+    orb = MarkedOrbifold(Surface(), _EUCLIDEAN[name])
+    assert not orb.hyperbolic
+    with pytest.raises(DomainError):
+        certified_curve_length(orb, PolylineCurve([0.5 + 0.5j, 0.5 + 1j]))
+    with pytest.raises(DomainError):
+        upper_density_bound(orb, 0.5 + 0.5j)
+    with pytest.raises(DomainError):
+        expansion_certificate((orb, orb), 0.5 + 0.5j, [3.0 + 1j])
+
+
+@pytest.mark.parametrize("orb", [
+    MarkedOrbifold(Surface(), ((0j, 2), (2.0 + 0j, 3))),
+    MarkedOrbifold(Surface(outer=(0j, 4.0)), ()),
+    MarkedOrbifold(Surface(holes=((3.0 + 0j, 1.0),)), ()),
+], ids=["plane with orders 2 and 3", "mark-free disc", "mark-free plane with a hole"])
+def test_hyperbolic_orbifolds_are_bounded(orb):
+    assert orb.hyperbolic
+    assert math.isfinite(certified_curve_length(orb, PolylineCurve([0.5 + 0.5j, 0.5 + 1j])))
+    assert math.isfinite(upper_density_bound(orb, 0.5 + 0.5j))
+    cert = expansion_certificate((orb, orb), 0.5 + 0.5j, [1.5 + 1j])
+    assert math.isfinite(cert.R_bar)
 
 
 def test_certified_length_constant_region():

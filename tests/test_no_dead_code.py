@@ -1,6 +1,6 @@
-"""Every function, class, method and instance attribute in ``hyporb`` is used by
-the package itself, and every module of the package and of the tests uses what
-it imports.
+"""Every function, class, method, instance attribute and dataclass field in
+``hyporb`` is used by the package itself, and every module of the package and
+of the tests uses what it imports.
 
 A definition counts as used when its name appears as a ``Name``, an
 ``Attribute`` or an import alias anywhere in ``src/hyporb`` (the ``def`` or
@@ -11,9 +11,12 @@ as used when some attribute read (an ``Attribute`` in load context) in
 ``src/hyporb`` names it.  A module-level assignment (a constant or a type
 alias) counts as used when its name is read somewhere in ``src/hyporb``: a
 ``Name`` in load context, an ``Attribute`` or an import alias; dunders such
-as ``__version__`` are exempt.  An import counts as used when the name it binds
-appears as a ``Name`` in the importing module; ``hyporb/__init__.py``, whose
-imports are the re-exports, and ``from __future__`` imports are exempt.
+as ``__version__`` are exempt.  A dataclass field counts as used when some
+attribute read in ``src/hyporb`` names it; the fields of the dataclasses
+that ``asdict`` writes out (``SERIALISED``) all count as read.  An import
+counts as used when the name it binds appears as a ``Name`` in the importing
+module; ``hyporb/__init__.py``, whose imports are the re-exports, and
+``from __future__`` imports are exempt.
 
 The point order (|p - c|, re p, im p) has one home, ``maps.nearest_first``:
 no other code in ``src/hyporb`` calls ``lexsort`` or sorts by a
@@ -27,6 +30,9 @@ import hyporb
 
 # argparse calls ``_Parser.error`` itself
 EXEMPT = {("cli.py", "error")}
+# dataclasses serialised field by field with ``asdict``: the scan rows of
+# ``cli.cmd_expansion`` and ``SeparationReport.to_json``
+SERIALISED = {"ScanRow", "SeparationReport"}
 
 
 def _trees(package_dir: Path) -> dict[str, ast.Module]:
@@ -57,14 +63,18 @@ def unreferenced_definitions(package_dir: Path) -> list[str]:
     return dead
 
 
-def unread_attributes(package_dir: Path) -> list[str]:
-    trees = _trees(package_dir)
-    read = {
+def _attribute_reads(trees: dict[str, ast.Module]) -> set[str]:
+    return {
         node.attr
         for tree in trees.values()
         for node in ast.walk(tree)
         if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
     }
+
+
+def unread_attributes(package_dir: Path) -> list[str]:
+    trees = _trees(package_dir)
+    read = _attribute_reads(trees)
     unread = []
     for filename, tree in trees.items():
         for node in ast.walk(tree):
@@ -73,6 +83,32 @@ def unread_attributes(package_dir: Path) -> list[str]:
                     and node.attr not in read):
                 unread.append(f"{filename}:{node.lineno} {node.attr}")
     return unread
+
+
+def _dataclasses(trees: dict[str, ast.Module]) -> list[tuple[str, ast.ClassDef]]:
+    def is_dataclass(decorator: ast.expr) -> bool:
+        func = decorator.func if isinstance(decorator, ast.Call) else decorator
+        return isinstance(func, ast.Name) and func.id == "dataclass"
+
+    return [
+        (filename, node)
+        for filename, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef) and any(map(is_dataclass, node.decorator_list))
+    ]
+
+
+def unread_fields(package_dir: Path) -> list[str]:
+    trees = _trees(package_dir)
+    read = _attribute_reads(trees)
+    return [
+        f"{filename}:{field.lineno} {cls.name}.{field.target.id}"
+        for filename, cls in _dataclasses(trees)
+        if cls.name not in SERIALISED
+        for field in cls.body
+        if isinstance(field, ast.AnnAssign) and isinstance(field.target, ast.Name)
+        and field.target.id not in read
+    ]
 
 
 def unread_module_names(package_dir: Path) -> list[str]:
@@ -158,6 +194,22 @@ def test_every_definition_is_referenced_in_the_package():
 
 def test_every_instance_attribute_is_read_in_the_package():
     assert unread_attributes(Path(hyporb.__file__).parent) == []
+
+
+def test_every_dataclass_field_is_read_in_the_package():
+    package = Path(hyporb.__file__).parent
+    assert SERIALISED <= {cls.name for _, cls in _dataclasses(_trees(package))}
+    assert unread_fields(package) == []
+
+
+def test_an_unread_dataclass_field_is_reported(tmp_path):
+    package = Path(hyporb.__file__).parent
+    for path in package.glob("*.py"):
+        (tmp_path / path.name).write_text(path.read_text())
+    certify = tmp_path / "certify.py"
+    lines = certify.read_text().splitlines()
+    certify.write_text("\n".join(lines + ["@dataclass", "class _Planted:", "    planted: int", ""]))
+    assert unread_fields(tmp_path) == [f"certify.py:{len(lines) + 3} _Planted.planted"]
 
 
 def test_every_module_level_name_is_read_in_the_package():

@@ -17,7 +17,9 @@ expansion certificates skip candidate paths is a bound instead: it must
 never exceed the reference length, nor fall below the floor whose cone
 terms are minima over whole isolation discs, kept here as a reference.  The
 nearest candidates, picked without ordering every boundary point, must be
-the start of the point order.
+the start of the point order.  The pointwise density bound is now the
+zero-length piece of the curve-length kernel: it must never exceed the
+nearest-mark rule it replaced, kept here as a reference, beyond rounding.
 """
 
 import cmath
@@ -43,6 +45,7 @@ from hyporb.certify import (
     certified_curve_length,
     pullback_shrinking_experiment,
     spearman_rank_correlation,
+    upper_density_bound,
 )
 from hyporb.cli import RunConfig
 from hyporb.curves import PolylineCurve, polyline_point_distance, segment_point_distances
@@ -63,7 +66,7 @@ from hyporb.maps import (
     nearest_preimage,
     postsingular_truncation,
 )
-from hyporb.models import cone_circle_length, cone_density_formula
+from hyporb.models import cone_circle_length, cone_density, cone_density_formula
 from hyporb.orbifolds import (
     _CIRCLE_SAMPLES,
     MarkedOrbifold,
@@ -218,6 +221,37 @@ def isolation_radius_reference(orb, index):
     return dist
 
 
+def density_bound_reference(orb, z):
+    """The nearest-mark rule ``upper_density_bound`` followed before it became
+    the zero-length piece of ``certify._piece_bounds``.
+
+    Inside the isolation disc of the nearest mark it takes that mark's cone
+    density; elsewhere the largest mark-free disc about ``z``.
+    """
+    z = complex(z)
+    if not orb.contains(z):
+        raise DomainError(f"{z!r} lies outside the surface")
+    b_dist = orb.surface.boundary_distance(z)
+    if not orb.marks:
+        if not math.isfinite(b_dist):
+            raise DomainError("mark-free plane is not hyperbolic")
+        return 2.0 / b_dist
+    dists = [abs(z - p) for p, _ in orb.marks]
+    i = int(np.argmin(dists))
+    _, nu = orb.marks[i]
+    if dists[i] <= 1e-12:
+        raise DomainError(f"{z!r} is numerically at a mark")
+    eps = float(orb.isolation_radii[i])
+    if not math.isfinite(eps):
+        raise DomainError("no finite witness disc around the only mark")
+    if dists[i] < eps:
+        return cone_density(nu, eps, dists[i])
+    delta = min(dists[i], b_dist)
+    if not math.isfinite(delta):
+        raise DomainError("unbounded mark-free region: no witness disc")
+    return 2.0 / delta
+
+
 def _cone_density_arr_reference(k, eps, d):
     u = (d / eps) ** (1.0 / k)
     with np.errstate(divide="ignore"):
@@ -227,6 +261,8 @@ def _cone_density_arr_reference(k, eps, d):
 def curve_length_reference(orb, curve, refinement=1e-3, mark_margin=1e-9, max_rounds=60,
                            tighten=1.02):
     """Per-mark loop kernel that bounds every piece in every round."""
+    if not orb.hyperbolic:
+        raise DomainError("the orbifold is not hyperbolic")
     verts = curve.as_array()
     a_all = verts[:-1]
     b_all = verts[1:]
@@ -644,8 +680,60 @@ def test_certified_length_straddling_isolation_radius():
                 assert _same_length_or_same_error(orb, curve, refinement=refinement)
 
 
+def _random_points(rng, orb, count):
+    """Points near marks (inside and outside their isolation discs), at random,
+    at the marks themselves and a hair away from them."""
+    pts = []
+    for _ in range(count):
+        i = int(rng.integers(len(orb.marks))) if orb.marks else None
+        draw = rng.random()
+        if i is None or draw < 0.3:
+            pts.append(complex(rng.uniform(-2.5, 2.5), rng.uniform(-2.5, 2.5)))
+        elif draw < 0.9:
+            r = orb.isolation_radii[i] * rng.uniform(0.02, 1.5)
+            pts.append(orb.marks[i][0] + r * np.exp(2j * np.pi * rng.random()))
+        else:
+            pts.append(orb.marks[i][0] + rng.choice([0.0, 1e-13, 1e-11]))
+    return pts
+
+
+@pytest.mark.parametrize("surface", sorted(_SURFACES))
+def test_density_bound_is_at_most_the_nearest_mark_rule(surface):
+    # the kernel takes the least witness that holds the point, the reference
+    # the nearest mark's cone whenever one holds it; 1e-12 allows for the
+    # 1 - u^2 cancellation of the cone formula near an isolation rim, where
+    # array and scalar pow differ in the last bit
+    rng = np.random.default_rng(31)
+    bounded = tighter = 0
+    for _ in range(40):
+        orb = _random_orbifold(rng, _SURFACES[surface])
+        if not orb.hyperbolic:
+            continue
+        for z in _random_points(rng, orb, 40):
+            try:
+                want = density_bound_reference(orb, z)
+            except DomainError:
+                with pytest.raises(DomainError):
+                    upper_density_bound(orb, z)
+                continue
+            got = upper_density_bound(orb, z)
+            assert got <= want * (1.0 + 1e-12), (orb, z)
+            bounded += 1
+            tighter += got < want * (1.0 - 1e-12)
+    assert bounded >= 1000
+    assert tighter > 0
+
+
+def test_density_bound_takes_the_clean_disc_at_the_rim_of_an_isolation_disc():
+    # -2.999 lies in the isolation disc (radius 3) of the mark at 0, nearly on
+    # its rim, where that cone is far above the mark-free disc of radius 2.999
+    orb = MarkedOrbifold(Surface(outer=(0j, 10.0)), ((0j, 2), (3.0 + 0j, 2)))
+    assert density_bound_reference(orb, -2.999) == pytest.approx(1000.1667, rel=1e-7)
+    assert upper_density_bound(orb, -2.999) == pytest.approx(2.0 / 2.999, rel=1e-12)
+
+
 # A homotopy representative runs its pieces round a small circle about its
-# one cone point, few enough that one piece_bounds call bounds several
+# one cone point, few enough that one _piece_bounds call bounds several
 # bisection levels: each level is replayed from that call's bounds.
 def _representative(d, n):
     ep = epsilon_prime(1.0, d)
@@ -698,7 +786,7 @@ def test_cutoff_inside_a_lookahead_returns_inf_or_the_same_length(d):
 def test_certified_length_matches_per_mark_loop_with_a_lookahead_after_mixed_rounds(monkeypatch):
     # two cone groups; the short segment is bounded in the first round while
     # the long one only splits, and once every piece is short one
-    # piece_bounds call bounds several levels
+    # _piece_bounds call bounds several levels
     orb = MarkedOrbifold(_SURFACES["disc"], ((0j, 2), (1.5 + 0j, 3)))
     assert len(orb.cone_groups) == 2
     curve = PolylineCurve([0.05 + 0.02j, 0.25 + 0.1j, 1.0 - 0.6j])
