@@ -16,6 +16,7 @@ import argparse
 import cmath
 import json
 import math
+import random
 import sys
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
@@ -96,6 +97,8 @@ class RunConfig:
             raise UsageError("config key escape_radius must exceed 1")
         if self.K <= 1:
             raise UsageError("config key K must exceed 1")
+        if self.seed < 0:
+            raise UsageError("config key seed must be >= 0")
         for name in ("depth", "w_points", "k_max", "sample_count",
                      "samples_per_scale", "pullback_kmax", "homotopy_n_max"):
             if getattr(self, name) < 1:
@@ -227,7 +230,7 @@ def _build_pair(cfg: RunConfig):
 
 def cmd_orbifold(cfg: RunConfig) -> int:
     spec, (base, lift) = _build_pair(cfg)
-    rng = np.random.default_rng(cfg.seed)
+    rng = random.Random(cfg.seed)
     samples = []
     while len(samples) < 8:
         z = complex(rng.uniform(-9, 9), rng.uniform(-9, 9))

@@ -1,9 +1,14 @@
 """CLI dispatch, configuration handling, output artifacts, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import hyporb
 from hyporb.cli import RunConfig, cmd_bounds, f12, load_config, main
 from hyporb.maps import get_map
 from hyporb.orbifolds import build_associated_orbifold
@@ -55,10 +60,11 @@ def test_w_points_beyond_grid_is_usage_error(tmp_path, capsys):
         ("separation", ["--set", "escape_radius=0.5"], "escape_radius"),
         ("separation", ["--set", "escape_radius=1.0"], "escape_radius"),
         ("expansion", ["--set", "margin_rel=0.01"], "margin_rel"),
+        ("orbifold", ["--set", "seed=-1"], "seed"),
     ],
     ids=["nan-K", "nan-escape-radius", "infinite-sample-r-max", "unknown-map",
          "r-min-above-r-max", "one-r-point", "escape-radius-below-1", "escape-radius-1",
-         "removed-margin-rel-key"],
+         "removed-margin-rel-key", "negative-seed"],
 )
 def test_non_finite_value_or_unknown_map_is_usage_error(tmp_path, capsys, command, setting, key):
     assert run([command, "--output", str(tmp_path)] + setting) == 64
@@ -212,3 +218,45 @@ def test_format_selection(tmp_path):
     assert run(["bounds", "--output", str(tmp_path), "--format", "csv"]) == 0
     assert (tmp_path / "bounds.csv").exists()
     assert not (tmp_path / "bounds.json").exists()
+
+
+@pytest.mark.parametrize("name", ["cosh", "pi_sinh", "cosh_minus_one"])
+def test_orbifold_artifacts_do_not_depend_on_the_seed(tmp_path, name):
+    # the seed draws the covering-check samples, which an artifact lists only
+    # where the covering relation fails, and it holds at every sample
+    outputs = []
+    for seed in (1, 2):
+        out = tmp_path / str(seed)
+        assert run(["orbifold", "--map", name, "--format", "both", "--set", f"seed={seed}",
+                    "--output", str(out)]) == 0
+        outputs.append([(out / f"orbifold.{ext}").read_bytes() for ext in ("json", "csv")])
+    assert outputs[0] == outputs[1]
+
+
+# every command, at the reduced sizes of the benchmark workloads
+_EVERY_COMMAND = [
+    ["bounds", "--set", "w_points=99", "--set", "k_max=8"],
+    ["homotopy", "--set", "homotopy_n_max=2"],
+    ["orbifold"],
+    ["separation"],
+    ["pullback", "--set", "pullback_kmax=3"],
+    ["basin"],
+    ["expansion", "--set", "sample_count=4", "--set", "samples_per_scale=3",
+     "--set", "scale_min_exp=2", "--set", "scale_max_exp=3", "--set", "sample_r_max=20.0"],
+]
+
+
+def test_no_command_imports_numpy_random(tmp_path):
+    # numpy.random adds about 6 MB to a run's peak memory; one fresh
+    # interpreter runs every command, so an import by any of them shows
+    script = (
+        "import sys\n"
+        "from hyporb.cli import main\n"
+        f"for argv in {_EVERY_COMMAND!r}:\n"
+        f"    assert main(argv + ['--output', {str(tmp_path)!r}]) == 0, argv\n"
+        "print('numpy.random' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(hyporb.__file__).parent.parent))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "False"

@@ -21,10 +21,17 @@ module; ``hyporb/__init__.py``, whose imports are the re-exports, and
 The point order (|p - c|, re p, im p) has one home, ``maps.nearest_first``:
 no other code in ``src/hyporb`` calls ``lexsort`` or sorts by a
 ``key=lambda`` that builds ``(abs(...), ....real, ....imag)``.
+
+No code in ``src/hyporb`` uses ``numpy.random``, ``numpy.linalg`` or
+``polyfit``: loading ``numpy.random`` or paging in LAPACK costs a run
+several MB of peak memory, and the stdlib does what the package needs of
+them (``random.Random``, and ``math.fsum`` for a least-squares slope).
 """
 
 import ast
 from pathlib import Path
+
+import pytest
 
 import hyporb
 
@@ -173,6 +180,24 @@ def point_order_copies(package_dir: Path) -> list[str]:
     return copies
 
 
+def heavy_numpy_uses(package_dir: Path) -> list[str]:
+    """Uses of ``np.random``, ``np.linalg`` and ``polyfit``, as attributes or imports."""
+    heavy = ("random", "linalg", "polyfit")
+    uses = []
+    for filename, tree in _trees(package_dir).items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and (
+                    node.attr == "polyfit"
+                    or node.attr in heavy and getattr(node.value, "id", None) in ("np", "numpy")):
+                uses.append(f"{filename}:{node.lineno} {ast.unparse(node)}")
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = ".".join(filter(None, [getattr(node, "module", None), alias.name]))
+                    if name.split(".")[:2] in [["numpy", h] for h in heavy]:
+                        uses.append(f"{filename}:{node.lineno} import {name}")
+    return uses
+
+
 def unused_imports(path: Path) -> list[str]:
     tree = ast.parse(path.read_text())
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
@@ -228,6 +253,30 @@ def test_an_unread_module_level_name_is_reported(tmp_path):
 
 def test_the_point_order_has_one_home():
     assert point_order_copies(Path(hyporb.__file__).parent) == []
+
+
+def test_no_numpy_random_or_lapack_in_the_package():
+    assert heavy_numpy_uses(Path(hyporb.__file__).parent) == []
+
+
+@pytest.mark.parametrize(
+    "planted, found",
+    [
+        ("rng = np.random.default_rng(1)", "np.random"),
+        ("slope = np.polyfit([0, 1], [0, 1], 1)[0]", "np.polyfit"),
+        ("q = np.linalg.qr", "np.linalg"),
+        ("from numpy.random import default_rng", "import numpy.random.default_rng"),
+    ],
+    ids=["random", "polyfit", "linalg", "import"],
+)
+def test_a_numpy_random_or_lapack_use_is_reported(tmp_path, planted, found):
+    package = Path(hyporb.__file__).parent
+    for path in package.glob("*.py"):
+        (tmp_path / path.name).write_text(path.read_text())
+    certify = tmp_path / "certify.py"
+    lines = certify.read_text().splitlines()
+    certify.write_text("\n".join(lines + [planted, ""]))
+    assert heavy_numpy_uses(tmp_path) == [f"certify.py:{len(lines) + 1} {found}"]
 
 
 def test_every_import_is_used():

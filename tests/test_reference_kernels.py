@@ -20,10 +20,16 @@ nearest candidates, picked without ordering every boundary point, must be
 the start of the point order.  The pointwise density bound is now the
 zero-length piece of the curve-length kernel: it must never exceed the
 nearest-mark rule it replaced, kept here as a reference, beyond rounding.
+The pullback decay rate is fitted by the closed-form least-squares slope
+summed with ``fsum`` in place of ``np.polyfit``, kept here as a reference:
+the two rates must agree to rounding, the new slope must be the exact slope
+to an ulp or two, and every default pullback must report the same 12 digits.
 """
 
 import cmath
 import math
+from fractions import Fraction
+from functools import cache
 
 import numpy as np
 import pytest
@@ -36,6 +42,7 @@ from hyporb.certify import (
     _RADIUS_FACTORS,
     _blocked,
     _cone_density_floor,
+    _decay_rate,
     _length_floors,
     _local_isolation,
     _modulus_slice,
@@ -1149,8 +1156,10 @@ def test_nearest_first_about_zero_matches_lexsort_by_modulus(lattice, scattered)
     assert nearest_first(circle, 0j).tolist() == want.tolist()
 
 
-def _pullback_seed_targets(name):
-    """The points whose nearest preimage seeds the default ``pullback`` run of the map."""
+@cache
+def _default_pullback(name):
+    """The default ``pullback`` run of the map, and the points whose nearest
+    preimage seeds each of its steps."""
     cfg = RunConfig(map=name)
     spec = get_map(name)
     pair = build_associated_orbifold(spec, cfg.depth, cfg.escape_radius)
@@ -1165,9 +1174,9 @@ def _pullback_seed_targets(name):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(certify, "nearest_preimage", recorded)
-        pullback_shrinking_experiment(spec, pair, curve0, seed, k_max=cfg.pullback_kmax,
-                                      refinement=cfg.refinement)
-    return targets
+        result = pullback_shrinking_experiment(spec, pair, curve0, seed, k_max=cfg.pullback_kmax,
+                                               refinement=cfg.refinement)
+    return targets, result
 
 
 @pytest.mark.parametrize("name", sorted(_MAP_BASES))
@@ -1179,7 +1188,7 @@ def test_nearest_preimage_matches_min_by_sort_key(name):
     values = [p.point for p in postsingular_truncation(spec, 8).points if abs(p.point) < 1e4]
     values += [complex(v) for v in rng.uniform(-40.0, 40.0, 60) + 1j * rng.uniform(-40.0, 40.0, 60)]
     values += [5.5 + 0.5j, 0.5j, 1e-300 + 0j]
-    targets = _pullback_seed_targets(name)
+    targets, _ = _default_pullback(name)
     assert len(targets) == RunConfig().pullback_kmax
     values += targets
     # large imaginary or real parts
@@ -1382,3 +1391,37 @@ def test_spearman_matches_tie_loop(data):
     assert spearman_rank_correlation(xs, ys) == spearman_reference(xs, ys)
     ints = data.draw(st.lists(st.integers(-3, 3), min_size=size, max_size=size))
     assert spearman_rank_correlation(ints, ys) == spearman_reference(ints, ys)
+
+
+def _polyfit_slope(positive):
+    """The decay-rate slope as ``np.polyfit`` fits it, by LAPACK least squares."""
+    return float(np.polyfit(np.arange(1, len(positive)), np.log(positive[1:]), 1)[0])
+
+
+def test_decay_rate_matches_polyfit_and_the_exact_slope():
+    # pullback-like sequences: geometric decay times noise, 3 to 40 lengths
+    rng = np.random.default_rng(29)
+    for _ in range(2000):
+        n = int(rng.integers(3, 41))
+        positive = (10 ** rng.uniform(-3, 2) * rng.uniform(0.05, 0.95) ** np.arange(n)
+                    * np.exp(rng.normal(0.0, 0.2, n))).tolist()
+        rate = _decay_rate(positive)
+        slope = _polyfit_slope(positive)
+        assert abs(math.log(rate) - slope) <= 1e-13 * abs(slope)
+        ks = range(1, n)
+        logs = [Fraction(v) for v in np.log(positive[1:]).tolist()]
+        k_mean, log_mean = Fraction(sum(ks), n - 1), sum(logs) / (n - 1)
+        exact = float(sum((k - k_mean) * (v - log_mean) for k, v in zip(ks, logs))
+                      / sum((k - k_mean) ** 2 for k in ks))
+        # the slope within 2 ulps of the exact one, and each exp within an ulp
+        assert abs(rate - math.exp(exact)) <= (2 * math.ulp(exact) + 2 * 2**-52) * rate
+    assert math.isnan(_decay_rate([1.0, 0.5, 0.0]))
+    assert _decay_rate([3.0, 0.0, 1.0, 0.5, 0.25]) == 0.5
+
+
+@pytest.mark.parametrize("name", sorted(_MAP_BASES))
+def test_default_decay_rates_match_polyfit_at_12_digits(name):
+    _, result = _default_pullback(name)
+    positive = [v for v in result.lengths if v > 0]
+    assert len(positive) == len(result.lengths)
+    assert f"{result.decay_rate:.12g}" == f"{math.exp(_polyfit_slope(positive)):.12g}"
