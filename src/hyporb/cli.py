@@ -185,9 +185,13 @@ def _write(
 ) -> None:
     """Write the artifacts that ``cfg.format`` selects under ``cfg.output``:
     ``<command>.json`` holds ``{"command": command, **payload}`` with every float
-    rounded by ``f12``, ``<command>.csv`` the rows with floats as ``.12g``."""
+    rounded by ``f12``, ``<command>.csv`` the rows with floats as ``.12g``.
+    An output directory that cannot be created is a ``UsageError``."""
     outdir = Path(cfg.output)
-    outdir.mkdir(parents=True, exist_ok=True)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise UsageError(f"cannot create output directory {outdir}: {exc}") from None
     if cfg.format in ("json", "both"):
         text = json.dumps(_rounded({"command": command, **payload}), indent=2)
         (outdir / f"{command}.json").write_text(text + "\n")

@@ -15,7 +15,6 @@ import math
 from bisect import bisect_right
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
-from typing import Callable
 
 import numpy as np
 
@@ -143,39 +142,6 @@ class Surface:
             kind, discs = "disc", (self.outer,)
         return {"kind": kind, "discs": [[c.real, c.imag, r] for c, r in discs]}
 
-    @staticmethod
-    def from_json(data: dict) -> "Surface":
-        try:
-            kind, entries = data["kind"], list(data["discs"])
-        except (KeyError, TypeError):
-            raise DomainError(f"malformed surface {data!r}: need kind and a discs list") from None
-        discs = tuple(_disc_from_json(d) for d in entries)
-        if kind == "plane" and not discs:
-            return Surface()
-        if kind == "plane_minus_discs":
-            return Surface(holes=discs)
-        if kind == "disc" and len(discs) == 1:
-            return Surface(outer=discs[0])
-        raise DomainError(f"malformed surface: kind {kind!r} with {len(discs)} disc(s)")
-
-
-def _entry_from_json(entry, third_ok: Callable, need: str) -> tuple[complex, int | float]:
-    """``[re, im, x]`` as ``(complex(re, im), x)`` when it holds three finite non-boolean
-    numbers with ``third_ok(x)``; else DomainError, saying what is needed."""
-    try:
-        if len(entry) == 3 and all(
-            type(v) in (int, float) and math.isfinite(v) for v in entry
-        ) and third_ok(entry[2]):
-            return complex(entry[0], entry[1]), entry[2]
-    except (TypeError, OverflowError):  # not a sequence; an int too large for a float
-        pass
-    raise DomainError(f"malformed entry {entry!r}: need {need}")
-
-
-def _disc_from_json(entry) -> tuple[complex, float]:
-    c, r = _entry_from_json(entry, lambda r: r > 0, "[re, im, radius] with radius > 0")
-    return c, float(r)
-
 
 @dataclass(frozen=True)
 class MarkedOrbifold:
@@ -281,27 +247,6 @@ class MarkedOrbifold:
             "truncation_depth": self.truncation_depth,
             "truncation_complete": self.truncation_complete,
         }
-
-    @staticmethod
-    def from_json(data: dict) -> "MarkedOrbifold":
-        try:
-            surface, entries, depth = data["surface"], list(data["marks"]), data["truncation_depth"]
-            complete = data.get("truncation_complete", False)
-        except (KeyError, TypeError):
-            raise DomainError(
-                f"malformed orbifold {data!r}: need surface, a marks list and truncation_depth"
-            ) from None
-        if type(depth) is not int or depth < 0 or type(complete) is not bool:
-            raise DomainError(
-                f"malformed orbifold: truncation_depth {depth!r} must be an int >= 0 and "
-                f"truncation_complete {complete!r} a bool"
-            )
-        # the order must be an int; __post_init__ rejects orders below 2
-        marks = tuple(
-            _entry_from_json(m, lambda nu: type(nu) is int, "[re, im, order] with an integer order")
-            for m in entries
-        )
-        return MarkedOrbifold(Surface.from_json(surface), marks, depth, complete)
 
 
 # ---------------------------------------------------------------------------
@@ -424,18 +369,17 @@ def _newton_fixed_point(map_spec: EntireMapSpec, seed: complex) -> complex | Non
 
 def find_repelling_cycle(
     map_spec: EntireMapSpec,
+    exclude: list[complex],
     seed_box: tuple[complex, complex] = (1.0 + 4.0j, 4.0 + 9.0j),
-    exclude: list[complex] | None = None,
 ) -> list[complex]:
     """Locate a repelling fixed point by Newton from a seed grid; return it as a 1-cycle.
 
     Accepted fixed points have multiplier modulus > 1 + 1e-6 and keep
-    distance >= ``_CYCLE_EXCLUSION_RADIUS`` from every excluded point (by
-    default the truncated postsingular set).  The returned point is the
-    deterministic minimum over (|z|, re, im) of the accepted points.
+    distance >= ``_CYCLE_EXCLUSION_RADIUS`` from every point of ``exclude``
+    (``build_associated_orbifold`` passes its truncated postsingular set).
+    The returned point is the deterministic minimum over (|z|, re, im) of
+    the accepted points.
     """
-    if exclude is None:
-        exclude = [p.point for p in postsingular_truncation(map_spec, 12).points]
     lo, hi = seed_box
     seeds = [
         complex(re, im)

@@ -88,6 +88,16 @@ def test_malformed_config_file(tmp_path, capsys):
         assert "run.cfg:1" in capsys.readouterr().err
 
 
+def test_output_naming_a_file_is_usage_error(tmp_path, capsys):
+    # a file where the output directory should go is the caller's mistake, not an internal error
+    taken = tmp_path / "taken"
+    taken.write_text("keep\n")
+    for output in (taken, taken / "sub"):
+        assert run(["separation", "--map", "pi_sinh", "--output", str(output)]) == 64
+        assert "cannot create output directory" in capsys.readouterr().err
+    assert taken.read_text() == "keep\n"
+
+
 def test_config_file_roundtrip(tmp_path):
     cfg_file = tmp_path / "run.cfg"
     cfg_file.write_text("# comment\nmap = pi_sinh\ndepth = 6\nK = 3.5\n")

@@ -3,20 +3,21 @@
 of the tests uses what it imports.
 
 A definition counts as used when its name appears as a ``Name``, an
-``Attribute`` or an import alias anywhere in ``src/hyporb`` (the ``def`` or
-``class`` statement itself is none of these), so the re-exports in
-``hyporb/__init__.py`` count as the public API.  Code that only tests call is
-dead code under this rule.  An attribute set as ``self.<name> = ...`` counts
-as used when some attribute read (an ``Attribute`` in load context) in
-``src/hyporb`` names it.  A module-level assignment (a constant or a type
-alias) counts as used when its name is read somewhere in ``src/hyporb``: a
-``Name`` in load context, an ``Attribute`` or an import alias; dunders such
-as ``__version__`` are exempt.  A dataclass field counts as used when some
-attribute read in ``src/hyporb`` names it; the fields of the dataclasses
-that ``asdict`` writes out (``SERIALISED``) all count as read.  An import
-counts as used when the name it binds appears as a ``Name`` in the importing
-module; ``hyporb/__init__.py``, whose imports are the re-exports, and
-``from __future__`` imports are exempt.
+``Attribute`` or an import alias somewhere in ``src/hyporb`` outside the
+definition's own body (the ``def`` or ``class`` statement itself is none of
+these), so the re-exports in ``hyporb/__init__.py`` count as the public API.
+Code that only tests call, or that only its own body calls (a function that
+calls itself and nothing else does), is dead code under this rule.  An
+attribute set as ``self.<name> = ...`` counts as used when some attribute read
+(an ``Attribute`` in load context) in ``src/hyporb`` names it.  A module-level
+assignment (a constant or a type alias) counts as used when its name is read
+somewhere in ``src/hyporb``: a ``Name`` in load context, an ``Attribute`` or
+an import alias; dunders such as ``__version__`` are exempt.  A dataclass
+field counts as used when some attribute read in ``src/hyporb`` names it; the
+fields of the dataclasses that ``asdict`` writes out (``SERIALISED``) all
+count as read.  An import counts as used when the name it binds appears as a
+``Name`` in the importing module; ``hyporb/__init__.py``, whose imports are
+the re-exports, and ``from __future__`` imports are exempt.
 
 The point order (|p - c|, re p, im p) has one home, ``maps.nearest_first``:
 no other code in ``src/hyporb`` calls ``lexsort`` or sorts by a
@@ -29,6 +30,7 @@ them (``random.Random``, and ``math.fsum`` for a least-squares slope).
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -46,17 +48,22 @@ def _trees(package_dir: Path) -> dict[str, ast.Module]:
     return {path.name: ast.parse(path.read_text()) for path in sorted(package_dir.glob("*.py"))}
 
 
+def _references(root: ast.AST) -> Counter:
+    """How often each name appears under ``root`` as a ``Name``, an ``Attribute`` or an alias."""
+    counts = Counter()
+    for node in ast.walk(root):
+        if isinstance(node, ast.Name):
+            counts[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            counts[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            counts[node.asname or node.name] += 1
+    return counts
+
+
 def unreferenced_definitions(package_dir: Path) -> list[str]:
     trees = _trees(package_dir)
-    referenced = set()
-    for tree in trees.values():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                referenced.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                referenced.add(node.attr)
-            elif isinstance(node, ast.alias):
-                referenced.add(node.asname or node.name)
+    referenced = sum(map(_references, trees.values()), Counter())
     dead = []
     for filename, tree in trees.items():
         for node in ast.walk(tree):
@@ -65,7 +72,8 @@ def unreferenced_definitions(package_dir: Path) -> list[str]:
             name = node.name
             if (name.startswith("__") and name.endswith("__")) or (filename, name) in EXEMPT:
                 continue
-            if name not in referenced:
+            # references inside the definition's own body do not count
+            if referenced[name] == _references(node)[name]:
                 dead.append(f"{filename}:{node.lineno} {name}")
     return dead
 
@@ -215,6 +223,17 @@ def unused_imports(path: Path) -> list[str]:
 
 def test_every_definition_is_referenced_in_the_package():
     assert unreferenced_definitions(Path(hyporb.__file__).parent) == []
+
+
+def test_a_definition_that_only_refers_to_itself_is_reported(tmp_path):
+    package = Path(hyporb.__file__).parent
+    for path in package.glob("*.py"):
+        (tmp_path / path.name).write_text(path.read_text())
+    certify = tmp_path / "certify.py"
+    lines = certify.read_text().splitlines()
+    planted = ["def _planted(n):", "    return _planted(n - 1) if n else 0", ""]
+    certify.write_text("\n".join(lines + planted))
+    assert unreferenced_definitions(tmp_path) == [f"certify.py:{len(lines) + 1} _planted"]
 
 
 def test_every_instance_attribute_is_read_in_the_package():
