@@ -16,7 +16,6 @@ import argparse
 import cmath
 import json
 import math
-import random
 import sys
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
@@ -50,7 +49,11 @@ from .orbifolds import (
 
 @dataclass
 class RunConfig:
-    """Flat run configuration with embedded defaults."""
+    """Flat run configuration with embedded defaults.
+
+    ``seed`` is accepted and ignored (no command draws random numbers); it
+    must still be at least 0, and ROADMAP item 5 retires the key.
+    """
 
     map: str = "cosh"
     depth: int = 8
@@ -186,20 +189,24 @@ def _write(
     """Write the artifacts that ``cfg.format`` selects under ``cfg.output``:
     ``<command>.json`` holds ``{"command": command, **payload}`` with every float
     rounded by ``f12``, ``<command>.csv`` the rows with floats as ``.12g``.
-    An output directory that cannot be created is a ``UsageError``."""
+    An output directory that cannot be created, or an artifact that cannot be
+    written, is a ``UsageError``."""
     outdir = Path(cfg.output)
     try:
         outdir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise UsageError(f"cannot create output directory {outdir}: {exc}") from None
-    if cfg.format in ("json", "both"):
-        text = json.dumps(_rounded({"command": command, **payload}), indent=2)
-        (outdir / f"{command}.json").write_text(text + "\n")
-    if cfg.format in ("csv", "both"):
-        lines = [",".join(header)]
-        for row in rows:
-            lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row))
-        (outdir / f"{command}.csv").write_text("\n".join(lines) + "\n")
+    try:
+        if cfg.format in ("json", "both"):
+            text = json.dumps(_rounded({"command": command, **payload}), indent=2)
+            (outdir / f"{command}.json").write_text(text + "\n")
+        if cfg.format in ("csv", "both"):
+            lines = [",".join(header)]
+            for row in rows:
+                lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row))
+            (outdir / f"{command}.csv").write_text("\n".join(lines) + "\n")
+    except OSError as exc:
+        raise UsageError(f"cannot write {exc.filename}: {exc.strerror}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -234,13 +241,7 @@ def _build_pair(cfg: RunConfig):
 
 def cmd_orbifold(cfg: RunConfig) -> int:
     spec, (base, lift) = _build_pair(cfg)
-    rng = random.Random(cfg.seed)
-    samples = []
-    while len(samples) < 8:
-        z = complex(rng.uniform(-9, 9), rng.uniform(-9, 9))
-        if base.contains(z) and base.ramification(z) == 1 and lift.ramification(z) == 1:
-            samples.append(z)
-    covering = check_covering_relation(spec, base, lift, samples)
+    covering = check_covering_relation(spec, base, lift)
     inclusion = check_holomorphic_inclusion(lift, base)
     trunc = postsingular_truncation(spec, cfg.depth, cfg.escape_radius)
     sep = separation_report(trunc, cfg.K, spec)

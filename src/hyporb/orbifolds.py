@@ -675,13 +675,13 @@ def check_covering_relation(
     map_spec: EntireMapSpec,
     base: MarkedOrbifold,
     lift: MarkedOrbifold,
-    samples: list[complex] | None = None,
 ) -> CheckResult:
-    """Exact check of nu(f(z)) = deg(f, z) * nu_tilde(z) at stored marks.
+    """Exact check of nu(f(z)) = deg(f, z) * nu_tilde(z), in both directions.
 
-    Marks whose image lies beyond the stored marks of the base (truncation
-    frontier) are skipped.  Optional unmarked samples must satisfy the
-    identity trivially (1 = 1 * 1).
+    It is checked at every lift mark, skipping those whose image overflows or
+    lies beyond the stored marks of the base (truncation frontier), and at
+    every preimage of a base mark inside both surfaces with |z| <=
+    ``_LIFT_WINDOW_RADIUS``, so a lift mark missing there fails too.
     """
     witnesses: list[str] = []
     frontier = max((abs(p) for p, _ in base.marks), default=0.0)
@@ -698,24 +698,19 @@ def check_covering_relation(
             witnesses.append(
                 f"at z={z!r}: nu(f(z))={nu_image} != deg {deg} * nu_tilde {nu_tilde}"
             )
-    for v, c in map_spec.critical_value_witnesses:
-        nu_image = base.ramification(v)
-        if nu_image == 1:
-            continue
-        deg = local_degree(map_spec, c)
-        nu_tilde = lift.ramification(c)
-        if nu_image != deg * nu_tilde:
-            witnesses.append(
-                f"at witness {c!r}: nu={nu_image} != deg {deg} * nu_tilde {nu_tilde}"
-            )
-    if samples:
-        for z in samples:
-            try:
-                fz = evaluate(map_spec, z)
-            except (Overflow, OverflowError):
-                continue
-            if base.ramification(fz) != local_degree(map_spec, z) * lift.ramification(z):
-                witnesses.append(f"unmarked sample z={z!r} violates the covering identity")
+    # the marks are pairwise more than SAME_POINT_TOL apart: indices as in ``marks``
+    lift_marks = PointSet(lift.mark_array.tolist())
+    for value, nu_value in base.marks:
+        zs = np.asarray(map_spec.preimages(value, _LIFT_WINDOW_RADIUS), dtype=complex)
+        for p in zs[base.surface.contains(zs) & lift.surface.contains(zs)].tolist():
+            k = lift_marks.find(p)
+            nu_tilde = 1 if k is None else lift.marks[k][1]
+            deg = local_degree(map_spec, p)
+            if nu_value != deg * nu_tilde:
+                witnesses.append(
+                    f"at z={p!r}, a preimage of {value!r}: "
+                    f"nu={nu_value} != deg {deg} * nu_tilde {nu_tilde}"
+                )
     return CheckResult(passed=not witnesses, witnesses=witnesses)
 
 

@@ -98,6 +98,14 @@ def test_output_naming_a_file_is_usage_error(tmp_path, capsys):
     assert taken.read_text() == "keep\n"
 
 
+def test_unwritable_artifact_is_usage_error(tmp_path, capsys):
+    # a directory where an artifact should go is the caller's mistake, not an internal error
+    (tmp_path / "separation.json").mkdir()
+    assert run(["separation", "--map", "pi_sinh", "--output", str(tmp_path)]) == 64
+    err = capsys.readouterr().err
+    assert "cannot write" in err and str(tmp_path / "separation.json") in err
+
+
 def test_config_file_roundtrip(tmp_path):
     cfg_file = tmp_path / "run.cfg"
     cfg_file.write_text("# comment\nmap = pi_sinh\ndepth = 6\nK = 3.5\n")
@@ -232,8 +240,7 @@ def test_format_selection(tmp_path):
 
 @pytest.mark.parametrize("name", ["cosh", "pi_sinh", "cosh_minus_one"])
 def test_orbifold_artifacts_do_not_depend_on_the_seed(tmp_path, name):
-    # the seed draws the covering-check samples, which an artifact lists only
-    # where the covering relation fails, and it holds at every sample
+    # the seed key is accepted and ignored: no command draws random numbers
     outputs = []
     for seed in (1, 2):
         out = tmp_path / str(seed)

@@ -24,9 +24,10 @@ no other code in ``src/hyporb`` calls ``lexsort`` or sorts by a
 ``key=lambda`` that builds ``(abs(...), ....real, ....imag)``.
 
 No code in ``src/hyporb`` uses ``numpy.random``, ``numpy.linalg`` or
-``polyfit``: loading ``numpy.random`` or paging in LAPACK costs a run
-several MB of peak memory, and the stdlib does what the package needs of
-them (``random.Random``, and ``math.fsum`` for a least-squares slope).
+``polyfit``, or imports the stdlib ``random``: loading ``numpy.random`` or
+paging in LAPACK costs a run several MB of peak memory, ``math.fsum`` does
+what the package needs of them (a least-squares slope), and no command draws
+random numbers.
 """
 
 import ast
@@ -189,7 +190,8 @@ def point_order_copies(package_dir: Path) -> list[str]:
 
 
 def heavy_numpy_uses(package_dir: Path) -> list[str]:
-    """Uses of ``np.random``, ``np.linalg`` and ``polyfit``, as attributes or imports."""
+    """Uses of ``np.random``, ``np.linalg`` and ``polyfit``, as attributes or imports,
+    and imports of the stdlib ``random``."""
     heavy = ("random", "linalg", "polyfit")
     uses = []
     for filename, tree in _trees(package_dir).items():
@@ -201,7 +203,8 @@ def heavy_numpy_uses(package_dir: Path) -> list[str]:
             elif isinstance(node, (ast.Import, ast.ImportFrom)):
                 for alias in node.names:
                     name = ".".join(filter(None, [getattr(node, "module", None), alias.name]))
-                    if name.split(".")[:2] in [["numpy", h] for h in heavy]:
+                    parts = name.split(".")
+                    if parts[0] == "random" or parts[:2] in [["numpy", h] for h in heavy]:
                         uses.append(f"{filename}:{node.lineno} import {name}")
     return uses
 
@@ -285,8 +288,10 @@ def test_no_numpy_random_or_lapack_in_the_package():
         ("slope = np.polyfit([0, 1], [0, 1], 1)[0]", "np.polyfit"),
         ("q = np.linalg.qr", "np.linalg"),
         ("from numpy.random import default_rng", "import numpy.random.default_rng"),
+        ("import random", "import random"),
+        ("from random import Random", "import random.Random"),
     ],
-    ids=["random", "polyfit", "linalg", "import"],
+    ids=["random", "polyfit", "linalg", "import", "stdlib-random", "stdlib-random-from"],
 )
 def test_a_numpy_random_or_lapack_use_is_reported(tmp_path, planted, found):
     package = Path(hyporb.__file__).parent

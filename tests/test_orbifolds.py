@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 from collections import Counter
 
 import pytest
@@ -9,8 +10,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyporb import orbifolds
-from hyporb.errors import CycleCollision, DivisibilityError, DomainError, EmptyInput, NotFound
-from hyporb.maps import EntireMapSpec, get_map, local_degree, postsingular_truncation
+from hyporb.errors import (
+    CycleCollision,
+    DivisibilityError,
+    DomainError,
+    EmptyInput,
+    NotFound,
+    Overflow,
+)
+from hyporb.maps import (
+    SAME_POINT_TOL,
+    EntireMapSpec,
+    evaluate,
+    get_map,
+    local_degree,
+    postsingular_truncation,
+)
 from hyporb.orbifolds import (
     MarkedOrbifold,
     Surface,
@@ -97,15 +112,63 @@ def test_checks_pass_for_all_catalogue_pairs(
 
 def test_covering_check_skips_only_overflowing_evaluations(cosh_map, cosh_pair):
     base, lift = cosh_pair
-    # cosh(800) overflows: that sample cannot be checked and is skipped
-    assert check_covering_relation(cosh_map, base, lift, samples=[800.0 + 0j]).passed
+    # the lift mark at 4.05e72 has an image that overflows: it cannot be
+    # checked and is skipped
+    far = [z for z, _ in lift.marks if abs(z) > 1e72]
+    assert len(far) == 1
+    with pytest.raises((Overflow, OverflowError)):
+        evaluate(cosh_map, far[0])
+    assert check_covering_relation(cosh_map, base, lift).passed
 
     def broken(z):
         raise ZeroDivisionError("not an overflow")
 
-    # any other failure of the map is a fault, not a skipped sample
+    # any other failure of the map is a fault, not a skipped mark
     with pytest.raises(ZeroDivisionError):
         check_covering_relation(dataclasses.replace(cosh_map, eval=broken), base, lift)
+
+
+def _witness_points(witnesses: list[str]) -> list[complex]:
+    """The point ``z=...`` that each covering witness names."""
+    return [complex(re.search(r"z=(\S+?)[,:]", w).group(1)) for w in witnesses]
+
+
+# per map, the lift mark nearest 3 + 3j that is not a base mark
+_PLANTED_MARK = {
+    "cosh": 2.4463520074491623 + 2j * PI,
+    "pi_sinh": 0.8278585215111122j,
+    "cosh_minus_one": 2.0 + 0j,
+}
+
+
+def _planted_pair(request, name):
+    spec = request.getfixturevalue(f"{name}_map")
+    base, lift = request.getfixturevalue(f"{name}_pair")
+    point = min(
+        (z for z, _ in lift.marks if base.ramification(z) == 1), key=lambda z: abs(z - (3 + 3j))
+    )
+    assert abs(point - _PLANTED_MARK[name]) <= 1e-12
+    return spec, base, lift, point
+
+
+@pytest.mark.parametrize("name", ["cosh", "pi_sinh", "cosh_minus_one"])
+def test_covering_check_reports_a_missing_lift_mark(request, name):
+    spec, base, lift, point = _planted_pair(request, name)
+    dropped = dataclasses.replace(lift, marks=tuple(m for m in lift.marks if m[0] != point))
+    result = check_covering_relation(spec, base, dropped)
+    assert not result.passed
+    assert [abs(z - point) <= SAME_POINT_TOL for z in _witness_points(result.witnesses)] == [True]
+
+
+@pytest.mark.parametrize("name", ["cosh", "pi_sinh", "cosh_minus_one"])
+def test_covering_check_reports_a_doubled_lift_mark_both_ways(request, name):
+    spec, base, lift, point = _planted_pair(request, name)
+    doubled = tuple((z, 2 * nu if z == point else nu) for z, nu in lift.marks)
+    result = check_covering_relation(spec, base, dataclasses.replace(lift, marks=doubled))
+    assert not result.passed
+    # once at the lift mark, once as a preimage of its base mark
+    assert len(result.witnesses) == 2
+    assert all(abs(z - point) <= SAME_POINT_TOL for z in _witness_points(result.witnesses))
 
 
 def test_swapped_inclusion_fails(cosh_pair):
